@@ -2,11 +2,11 @@
 
 Per window of M^2 tokens: project to Q/K/V with shared C x C matrices,
 split heads by contiguous channel chunks, form softmax(Q K^T / sqrt(d)
-+ B + mask) V per head, concatenate heads, and output-project. B is a
-learnable table with one entry per relative (dh, dw) offset, gathered
-through a precomputed index. A layer is two pre-LayerNorm residual
-sublayers (attention, then a two-layer GELU MLP), with window shift
-alternating 0 and M//2 across consecutive layers.
++ B + mask) V per head (``tensor.window_attention``), concatenate heads,
+and output-project. B is a learnable table with one entry per relative
+(dh, dw) offset, gathered through a precomputed index. A layer is two
+pre-LayerNorm residual sublayers (attention, then a two-layer GELU MLP),
+with window shift alternating 0 and M//2 across consecutive layers.
 """
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (Tensor, gelu, layer_norm, linear, matmul, permute,
-                     reshape, softmax, take)
-from .windows import (WindowGrid, build_attn_mask, cyclic_shift, unshift,
-                      window_partition, window_reverse)
+from .tensor import (Tensor, concat, gelu, layer_norm, linear, permute,
+                     reshape, take, window_attention)
+from .windows import (AttnMask, WindowGrid, build_attn_mask, cyclic_shift,
+                      unshift, window_partition, window_reverse)
 
 
 def relative_position_index(m: int) -> np.ndarray:
@@ -69,48 +69,24 @@ class StlParams:
 
 
 def window_msa(x: Tensor, params: WindowAttentionParams,
-               mask: Optional[np.ndarray] = None,
-               return_weights: bool = False):
+               mask: Optional[AttnMask] = None) -> Tensor:
     """Biased multi-head attention over [nW, m^2, C] windows.
 
-    With return_weights, also hands back the [nW, heads, m^2, m^2]
-    post-softmax attention matrix (diagnostics only).
+    Q, K and V come from one C x 3C product whose weights are concatenated
+    from wq, wk and wv on each call, with 1/sqrt(d) folded into wq and bq.
     """
     nw, mm, c = x.shape
     h = params.heads
     if c % h:
         raise ValueError(f"{h} heads do not divide {c} channels")
-    d = c // h
-
-    def split_heads(t: Tensor) -> Tensor:
-        return permute(reshape(t, nw, mm, h, d), 0, 2, 1, 3)
-
-    q = split_heads(linear(x, params.wq, params.bq))
-    k = split_heads(linear(x, params.wk, params.bk))
-    v = split_heads(linear(x, params.wv, params.bv))
-
-    logits = matmul(q, permute(k, 0, 1, 3, 2)) * (1.0 / math.sqrt(d))
-
-    bias = take(params.bias_table, params.rel_index.reshape(-1), axis=0)
+    scale = 1.0 / math.sqrt(c // h)
+    w = concat([params.wq * scale, params.wk, params.wv], axis=1)
+    b = concat([params.bq * scale, params.bk, params.bv], axis=0)
+    # key-major bias: entry (key j, query i) is table[rel_index[i, j]]
+    bias = take(params.bias_table, params.rel_index.T.reshape(-1), axis=0)
     bias = permute(reshape(bias, mm, mm, h), 2, 0, 1)
-    logits = logits + bias
-
-    if mask is not None:
-        nw_mask = mask.shape[0]
-        if nw % nw_mask:
-            raise ValueError(f"{nw} windows not a multiple of {nw_mask} mask windows")
-        batch = nw // nw_mask
-        logits = reshape(logits, batch, nw_mask, h, mm, mm)
-        logits = logits + Tensor(mask[None, :, None].astype(x.dtype, copy=False))
-        logits = reshape(logits, nw, h, mm, mm)
-
-    attn = softmax(logits)
-    out = matmul(attn, v)
-    out = reshape(permute(out, 0, 2, 1, 3), nw, mm, c)
-    out = linear(out, params.proj_w, params.proj_b)
-    if return_weights:
-        return out, attn
-    return out
+    out = window_attention(linear(x, w, b), bias, mask)
+    return linear(out, params.proj_w, params.proj_b)
 
 
 def mlp_forward(x: Tensor, params: MlpParams) -> Tensor:

@@ -20,6 +20,8 @@ file is byte-reproducible from (config, parameter values).
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 from typing import Dict
@@ -80,18 +82,16 @@ def serialize(params: ModelParams) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
+    """Write through a temporary file and rename, so a crash never leaves
+    a half-written checkpoint at ``path``."""
     blob = serialize(params)
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(blob)
+    os.replace(tmp, path)
 
 
-def deserialize(blob: bytes) -> ModelParams:
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != stored:
-        raise CheckpointError("checksum mismatch, refusing to load")
-
+def _parse_body(body: bytes) -> tuple[SwinIRConfig, Dict[str, np.ndarray]]:
     off = 4
     (version,) = struct.unpack_from("<I", body, off)
     off += 4
@@ -114,12 +114,27 @@ def deserialize(blob: bytes) -> ModelParams:
         off += 1
         dims = struct.unpack_from(f"<{rank}Q", body, off)
         off += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)
         arr = np.frombuffer(body, dtype="<f4", count=n, offset=off)
         off += 4 * n
         flat[name] = arr.reshape(dims).astype(np.float32)
     if off != len(body):
         raise CheckpointError(f"{len(body) - off} trailing bytes after parameters")
+    return cfg, flat
+
+
+def deserialize(blob: bytes) -> ModelParams:
+    if len(blob) < 16 or blob[:4] != MAGIC:
+        raise CheckpointError("not a checkpoint file (bad magic)")
+    body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
+    if zlib.crc32(body) != stored:
+        raise CheckpointError("checksum mismatch, refusing to load")
+    try:
+        cfg, flat = _parse_body(body)
+    except (struct.error, ValueError, UnicodeDecodeError, OverflowError) as exc:
+        # records that run past the end of the body, a name that is not
+        # UTF-8, or dims whose product no buffer can hold
+        raise CheckpointError(f"malformed checkpoint body: {exc}") from None
 
     params = init_params(cfg, seed=0)
     expected = dict(params.named())

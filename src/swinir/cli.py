@@ -46,11 +46,14 @@ def _fail(message: str, code: int) -> "CliError":
 
 MODEL_KEYS = {f.name for f in dc_fields(SwinIRConfig)}
 TRAIN_KEYS = {f.name for f in dc_fields(TrainConfig)} - {"milestones"}
+# training degradation strength: noise sigma for denoise, DCT
+# quantization quality for car
+DEGRADATION_DEFAULTS = {"sigma": 25.0, "quality": 40}
 
 _BOOL_KEYS = {"rstb_residual"}
 _STR_KEYS = {"task", "head_style"}
 _FLOAT_KEYS = {"mlp_ratio", "lr", "beta1", "beta2", "eps", "weight_decay",
-               "lr_factor"}
+               "lr_factor", "sigma"}
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
@@ -69,7 +72,7 @@ def parse_config_file(path: str) -> Dict[str, object]:
             raise _fail(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}",
                         EXIT_USAGE)
         key, _, val = (s.strip() for s in line.partition("="))
-        if key not in MODEL_KEYS | TRAIN_KEYS:
+        if key not in MODEL_KEYS | TRAIN_KEYS | DEGRADATION_DEFAULTS.keys():
             raise _fail(f"{path}:{lineno}: unknown key {key!r}", EXIT_USAGE)
         try:
             if key in _STR_KEYS:
@@ -108,6 +111,9 @@ def _config_help() -> str:
         if f.name == "milestones":
             continue
         lines.append(f"    {f.name} (default {getattr(train_defaults, f.name)!r})")
+    lines.append("  degradation:")
+    for key, default in DEGRADATION_DEFAULTS.items():
+        lines.append(f"    {key} (default {default!r})")
     return "\n".join(lines)
 
 
@@ -196,18 +202,16 @@ def cmd_train(args) -> int:
     if args.iterations is not None:
         values["iterations"] = args.iterations
     model_cfg, train_cfg = build_configs(values)
-
-    hq = _load_images(args.data)
+    degradation = {**DEGRADATION_DEFAULTS, **values}
     if model_cfg.task == "sr":
         spec = DegradationSpec(kind="bicubic", scale=model_cfg.scale)
     elif model_cfg.task == "denoise":
-        sigma = float(values.get("sigma", 25.0))
-        spec = DegradationSpec(kind="gaussian_noise", sigma=sigma,
+        spec = DegradationSpec(kind="gaussian_noise", sigma=degradation["sigma"],
                                seed=train_cfg.seed)
     else:
-        spec = DegradationSpec(kind="dct_quantize",
-                               quality=int(values.get("quality", 40)))
+        spec = DegradationSpec(kind="dct_quantize", quality=degradation["quality"])
 
+    hq = _load_images(args.data)
     dataset = PairDataset(hq_images=hq, spec=spec)
     val_pairs = make_validation_pairs(_load_images(args.val), spec) if args.val else []
     result = train(model_cfg, train_cfg, dataset, val_pairs, out_dir=args.out,
@@ -239,15 +243,19 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _load_ckpt(args.ckpt) if args.ckpt else None
-    lq_paths = _gather_inputs(args.lq_dir)
-    hq_paths = _gather_inputs(args.hq_dir)
-    if len(lq_paths) != len(hq_paths):
-        raise _fail(f"{len(lq_paths)} low-quality vs {len(hq_paths)} reference images",
-                    EXIT_DATA)
-    name_w = max(len(os.path.basename(p)) for p in lq_paths)
+    lq_by_name = {os.path.basename(p): p for p in _gather_inputs(args.lq_dir)}
+    hq_by_name = {os.path.basename(p): p for p in _gather_inputs(args.hq_dir)}
+    unmatched = sorted(lq_by_name.keys() ^ hq_by_name.keys())
+    if unmatched:
+        side = "--lq-dir" if unmatched[0] in lq_by_name else "--hq-dir"
+        raise _fail(f"{unmatched[0]} in {side} has no image of the same name "
+                    f"in the other directory", EXIT_DATA)
+    names = sorted(lq_by_name)
+    name_w = max(len(name) for name in names)
     print(f"{'image':<{name_w}}  {'psnr':>9}  {'ssim':>7}")
     psnrs, ssims = [], []
-    for lp, hp in zip(lq_paths, hq_paths):
+    for name in names:
+        lp, hp = lq_by_name[name], hq_by_name[name]
         try:
             lq, hq = load_image(lp), load_image(hp)
         except ImageFormatError as exc:
@@ -256,7 +264,7 @@ def cmd_eval(args) -> int:
         p, s = eval_pair(restored, hq, border=args.border)
         psnrs.append(p)
         ssims.append(s)
-        print(f"{os.path.basename(lp):<{name_w}}  {p:>9.4f}  {s:>7.4f}")
+        print(f"{name:<{name_w}}  {p:>9.4f}  {s:>7.4f}")
     print(f"{'mean':<{name_w}}  {float(np.mean(psnrs)):>9.4f}  "
           f"{float(np.mean(ssims)):>7.4f}")
     return EXIT_OK
@@ -328,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="PSNR/SSIM of restored images",
-                       description="Without --ckpt, compares inputs directly.")
+                       description="Pairs images of the same file name. "
+                                   "Without --ckpt, compares inputs directly.")
     p.add_argument("--ckpt", help="checkpoint; omit to score --lq-dir as-is")
     p.add_argument("--lq-dir", required=True)
     p.add_argument("--hq-dir", required=True)

@@ -63,7 +63,7 @@ class SwinIRConfig:
             raise ValueError("residual reconstruction needs matching in/out channels")
         if self.channels <= 0:
             raise ValueError("channel count must be positive")
-        if self.channels % self.heads:
+        if self.heads <= 0 or self.channels % self.heads:
             raise ValueError(f"{self.heads} heads do not divide {self.channels} channels")
         if min(self.rstb_count, self.stl_per_rstb, self.window,
                self.in_channels, self.out_channels) < 0:

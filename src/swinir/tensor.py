@@ -520,6 +520,63 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
+def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
+    """Fused multi-head attention core over [nW, m^2, 3C] windows.
+
+    ``qkv`` holds Q (already scaled by 1/sqrt(d)), K and V side by side,
+    each split into heads by contiguous channel chunks; ``bias`` is
+    [heads, key, query]; ``mask`` is None or a ``windows.AttnMask`` whose
+    windows repeat over the batch. Returns softmax(Q K^T + B + mask) V
+    with heads concatenated, [nW, m^2, C].
+
+    Scores live key-major, [nW, heads, key, query], so the softmax
+    reductions run over axis -2, which numpy vectorizes across the
+    contiguous query axis; bias, mask, exp and normalization then update
+    that one buffer in place, and it is kept as the attention matrix for
+    the backward pass.
+    """
+    qkv = _wrap(qkv)
+    nw, mm, c3 = qkv.shape
+    heads = bias.shape[0]
+    c = c3 // 3
+    d = c // heads
+    # [3, nW, heads, tokens, d] strided views; BLAS reads them in place
+    q, k, v = qkv.data.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
+
+    scores = np.matmul(k, q.swapaxes(-1, -2))
+    scores += bias.data
+    if mask is not None:
+        if nw % mask.shape[0]:
+            raise ValueError(f"{nw} windows not a multiple of {mask.shape[0]} mask windows")
+        per_image = scores.reshape(nw // mask.shape[0], mask.shape[0], heads, mm, mm)
+        per_image[:, mask.windows] += mask.blocks
+    scores -= scores.max(axis=-2, keepdims=True)
+    np.exp(scores, out=scores)
+    scores *= 1.0 / scores.sum(axis=-2, keepdims=True)
+    attn = scores
+
+    def heads_view(buf):
+        return buf.reshape(nw, mm, heads, d).transpose(0, 2, 1, 3)
+
+    out = np.empty((nw, mm, c), dtype=qkv.dtype)
+    np.matmul(attn.swapaxes(-1, -2), v, out=heads_view(out))
+
+    def backward(g):
+        g = heads_view(g)
+        grad = np.empty_like(qkv.data)
+        gq, gk, gv = grad.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
+        np.matmul(attn, g, out=gv)
+        ds = np.matmul(v, g.swapaxes(-1, -2))
+        ds -= (ds * attn).sum(axis=-2, keepdims=True)
+        ds *= attn
+        np.matmul(ds.swapaxes(-1, -2), k, out=gq)
+        np.matmul(ds, q, out=gk)
+        qkv._accumulate(grad)
+        bias._accumulate(ds.sum(axis=0))
+
+    return _make(out, (qkv, bias), backward)
+
+
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """Rearrange [N, r*r*C, H, W] -> [N, C, r*H, r*W].
 

@@ -121,31 +121,49 @@ def _partition_np(x: np.ndarray, m: int) -> np.ndarray:
              .reshape(-1, m * m))
 
 
+class AttnMask(np.ndarray):
+    """Read-only additive mask, [nW, m^2, m^2], plus the parts the fused
+    attention core reads: ``windows``, the indices of the windows with
+    any nonzero entry, and ``blocks``, those windows' masks key-major,
+    shaped [len(windows), 1, m^2, m^2] to broadcast over heads.
+
+    ``blocks`` holds -inf where the mask is nonzero, so masked pairs get
+    weight exactly 0. With MASK_VALUE they would get about e^-100, which
+    float32 stores only as a subnormal; subnormals make the exp and every
+    product that reads them, forward and backward, an order of magnitude
+    slower, for no visible change in the output."""
+    windows = None
+    blocks = None
+
+
 @lru_cache(maxsize=64)
-def build_attn_mask(h: int, w: int, m: int, s: int) -> np.ndarray:
+def build_attn_mask(h: int, w: int, m: int, s: int) -> AttnMask:
     """Additive per-window mask for a shifted pass, [HW/m^2, m^2, m^2].
 
     Pixels are labelled by which pre-shift region they came from; the
     bands split each axis at {0, H-m, H-s}. Token pairs from different
     regions get MASK_VALUE so softmax drives their weight below 1e-8
-    while staying finite and differentiable. Shift 0 gives an all-zero
-    mask.
+    while staying finite and differentiable; the attention core adds the
+    -inf ``blocks`` instead and gives them weight 0. Shift 0 gives an
+    all-zero mask. Cached, together with ``windows`` and ``blocks``.
     """
     if s not in (0, m // 2):
         raise ValueError(f"shift must be 0 or {m // 2}, got {s}")
-    nw = (h // m) * (w // m)
-    if s == 0:
-        return np.zeros((nw, m * m, m * m), dtype=np.float32)
     region = np.zeros((h, w), dtype=np.int64)
-    bands = (slice(0, h - m), slice(h - m, h - s), slice(h - s, h))
-    bands_w = (slice(0, w - m), slice(w - m, w - s), slice(w - s, w))
-    rid = 0
-    for bh in bands:
-        for bw in bands_w:
-            region[bh, bw] = rid
-            rid += 1
+    if s:
+        bands = (slice(0, h - m), slice(h - m, h - s), slice(h - s, h))
+        bands_w = (slice(0, w - m), slice(w - m, w - s), slice(w - s, w))
+        rid = 0
+        for bh in bands:
+            for bw in bands_w:
+                region[bh, bw] = rid
+                rid += 1
     tokens = _partition_np(region, m)
     diff = tokens[:, :, None] - tokens[:, None, :]
-    mask = np.where(diff != 0, np.float32(MASK_VALUE), np.float32(0.0))
+    mask = np.where(diff != 0, np.float32(MASK_VALUE), np.float32(0.0)).view(AttnMask)
+    mask.windows = np.flatnonzero(mask.any(axis=(1, 2)))
+    masked = np.asarray(mask)[mask.windows, None].swapaxes(-1, -2) != 0
+    mask.blocks = np.where(masked, np.float32(-np.inf), np.float32(0.0))
     mask.setflags(write=False)
+    mask.blocks.setflags(write=False)
     return mask

@@ -78,9 +78,13 @@ def make_attn_params(c, heads, m, rng=None, zero=False):
         rel_index=relative_position_index(m), heads=heads)
 
 
-def dense_attention_oracle(x, params):
+def dense_attention_oracle(x, params, mask=None):
     """Straight-line float64 reference: per head, softmax(QK^T/sqrt(d)+B)V,
-    heads concatenated, output projected. Loops, no window machinery."""
+    heads concatenated, output projected. Loops, no window machinery.
+
+    ``mask``, if given, is an additive [nW_mask, m^2, m^2] array; window
+    ``wi`` adds ``mask[wi % nW_mask]`` to its logits, as when the same
+    mask repeats over a batch of images."""
     nw, mm, c = x.shape
     heads = params.heads
     d = c // heads
@@ -101,6 +105,8 @@ def dense_attention_oracle(x, params):
             sl = slice(h * d, (h + 1) * d)
             q, k, v = q_all[:, sl], k_all[:, sl], v_all[:, sl]
             logits = q @ k.T / np.sqrt(d) + bias[:, :, h]
+            if mask is not None:
+                logits = logits + mask[wi % len(mask)]
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             a = e / e.sum(axis=1, keepdims=True)
             heads_out.append(a @ v)

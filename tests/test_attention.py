@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients, dense_attention_oracle, make_attn_params
-from swinir.attention import (MlpParams, StlParams, mlp_forward,
-                              relative_position_index, stl_forward,
-                              window_msa)
+from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
+                              mlp_forward, relative_position_index,
+                              stl_forward, window_msa)
 from swinir.tensor import Tensor, gelu, sum_
-from swinir.windows import WindowGrid
+from swinir.windows import (WindowGrid, build_attn_mask, cyclic_shift,
+                            pad_to_multiple, window_partition)
 
 
 class TestRelativePositionIndex:
@@ -80,6 +81,15 @@ class TestWindowMsa:
         got = window_msa(Tensor(x), params).data
         np.testing.assert_allclose(got, dense_attention_oracle(x, params), atol=1e-5)
 
+        # shifted pass on a batch of two 6x6 images: 9 mask windows, of
+        # which only the last row and column are nonzero, repeated per image
+        mask = build_attn_mask(6, 6, m, 1)
+        assert 0 < len(mask.windows) < len(mask)
+        x = rng.normal(size=(2 * len(mask), m * m, c)).astype(np.float32)
+        got = window_msa(Tensor(x), params, mask).data
+        np.testing.assert_allclose(got, dense_attention_oracle(x, params, mask),
+                                   atol=1e-5)
+
     def test_permutation_equivariance_unbiased(self, rng):
         c, m = 6, 2
         params = make_attn_params(c, 2, m, rng=rng)
@@ -114,6 +124,28 @@ class TestWindowMsa:
                 if jj < c:
                     assert bumped[w, ii, jj] == pytest.approx(1.0 / 5.0, abs=1e-6)
             assert base[w, i, j] == pytest.approx(0.25, abs=1e-6)
+
+    def test_shifted_batch_gradcheck_float64(self, rng):
+        # window 7 on 9x9 images: reflect-padded to 14x14, shifted by 3,
+        # two images sharing one 4-window mask
+        c, heads, m, s = 4, 2, 7, 3
+        x = rng.uniform(size=(2, 9, 9, c))
+        shapes = [(c, c), (c,), (c, c), (c, c), ((2 * m - 1) ** 2, heads)]
+        arrays = [x] + [0.3 * rng.normal(size=shape) for shape in shapes]
+        mask = build_attn_mask(14, 14, m, s)
+        proj_w = Tensor(0.3 * rng.normal(size=(c, c)))
+        zeros = Tensor(np.zeros(c))
+
+        def fn(xx, wq, bq, wk, wv, table):
+            params = WindowAttentionParams(
+                wq=wq, bq=bq, wk=wk, bk=zeros, wv=wv, bv=zeros,
+                proj_w=proj_w, proj_b=zeros, bias_table=table,
+                rel_index=relative_position_index(m), heads=heads)
+            padded, _ = pad_to_multiple(xx, m)
+            wins = window_partition(cyclic_shift(padded, s), m)
+            return sum_(window_msa(wins, params, mask) ** 2.0)
+
+        check_gradients(fn, arrays)
 
     def test_heads_must_divide_channels(self, rng):
         params = make_attn_params(4, 2, 2, rng=rng)

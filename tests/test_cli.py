@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from swinir import cli
 from swinir.checkpoint import save_checkpoint
 from swinir.cli import main, parse_config_file
 from swinir.degrade import procedural_texture
@@ -68,6 +71,35 @@ class TestParsing:
         assert values["channels"] == 8
         assert values["mlp_ratio"] == 1.4
         assert values["head_style"] == "direct"
+
+
+    def test_degradation_strength_reaches_dataset(self, tmp_path, monkeypatch, capsys):
+        write_images(tmp_path / "data", n=1)
+        seen = {}
+
+        def fake_train(model_cfg, train_cfg, dataset, val_pairs, **kwargs):
+            seen["spec"] = dataset.spec
+            return SimpleNamespace(diverged=False)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        for overrides, field, value in ((dict(sigma=50), "sigma", 50.0),
+                                        (dict(task="car", quality=10), "quality", 10)):
+            cfg = write_config(tmp_path / "c.cfg", **overrides)
+            rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "run")])
+            assert rc == 0
+            assert getattr(seen["spec"], field) == value
+
+    @pytest.mark.parametrize("overrides", [dict(sigma=-1),
+                                           dict(task="car", quality=0),
+                                           dict(task="car", quality=4.5)])
+    def test_bad_degradation_strength_usage_error(self, tmp_path, overrides, capsys):
+        write_images(tmp_path / "data", n=1)
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert ("sigma" if "sigma" in overrides else "quality") in capsys.readouterr().err
 
 
 class TestDegrade:
@@ -198,6 +230,23 @@ class TestInferEval:
         out = capsys.readouterr().out
         assert "inf" in out
         assert "1.0000" in out
+
+    def test_eval_pairs_by_name(self, tmp_path, capsys):
+        write_images(tmp_path / "hq", n=2, size=24)
+        (tmp_path / "lq").mkdir()
+        # a.pgm has no partner; by sorted position it would meet img0.pgm
+        (tmp_path / "lq" / "img1.pgm").write_bytes((tmp_path / "hq" / "img1.pgm").read_bytes())
+        (tmp_path / "lq" / "a.pgm").write_bytes((tmp_path / "hq" / "img0.pgm").read_bytes())
+        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
+                   "--hq-dir", str(tmp_path / "hq")])
+        assert rc == 3
+        assert "a.pgm" in capsys.readouterr().err
+
+        (tmp_path / "lq" / "a.pgm").rename(tmp_path / "lq" / "img0.pgm")
+        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
+                   "--hq-dir", str(tmp_path / "hq")])
+        assert rc == 0
+        assert capsys.readouterr().out.count("inf") == 3
 
     def test_eval_with_checkpoint_runs(self, tmp_path, capsys):
         ckpt, _ = make_ckpt(tmp_path)

@@ -1,9 +1,15 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_gradients
-from swinir.checkpoint import (CheckpointError, deserialize, load_checkpoint,
-                               save_checkpoint, serialize)
+from swinir import checkpoint
+from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
+                               load_checkpoint, save_checkpoint, serialize)
 from swinir.model import (ModelParams, SwinIRConfig, classical_sr_config,
                           count_mult_adds, deep_extract, forward, init_params,
                           lightweight_sr_config, param_count,
@@ -320,6 +326,40 @@ class TestCheckpoint:
         blob = serialize(params)[:-9]
         with pytest.raises(CheckpointError):
             deserialize(blob)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_truncation_with_valid_crc_refused(self, data):
+        body = serialize(init_params(tiny_config(), seed=0))[:-4]
+        cut = data.draw(st.integers(0, len(body) - 1), label="cut")
+        blob = body[:cut] + struct.pack("<I", zlib.crc32(body[:cut]))
+        with pytest.raises(CheckpointError):
+            deserialize(blob)
+
+    def test_bogus_record_count_refused(self):
+        body = bytearray(serialize(init_params(tiny_config(), seed=0))[:-4])
+        count_at = 8 + 4 * len(_CONFIG_FIELDS)
+        body[count_at:count_at + 4] = struct.pack("<I", 0xFFFFFFFF)
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(CheckpointError, match="malformed"):
+            deserialize(blob)
+
+    def test_save_never_leaves_partial_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"previous")
+        params = init_params(tiny_config(), seed=0)
+
+        def crash(src, dst):
+            raise OSError("crash before rename")
+
+        monkeypatch.setattr(checkpoint.os, "replace", crash)
+        with pytest.raises(OSError):
+            save_checkpoint(params, str(path))
+        assert path.read_bytes() == b"previous"
+        monkeypatch.undo()
+        save_checkpoint(params, str(path))
+        assert path.read_bytes() == serialize(params)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_bad_magic_refused(self):
         with pytest.raises(CheckpointError, match="magic"):

@@ -105,6 +105,10 @@ class TestAttnMask:
         assert not mask[0].any()
         # the corner window mixes all four region pairs
         assert (mask[3] == MASK_VALUE).any()
+        # the attention core adds only the nonzero windows, key-major
+        np.testing.assert_array_equal(mask.windows, [1, 2, 3])
+        np.testing.assert_array_equal(mask.blocks[:, 0] == -np.inf,
+                                      np.swapaxes(mask[1:], 1, 2) == MASK_VALUE)
 
     def test_symmetric_relation(self):
         mask = build_attn_mask(8, 8, 4, 2)
