@@ -19,9 +19,6 @@ import numpy as np
 from .imageio import ImageBuffer
 from .rng import SplitMix64, derive
 
-BENCHMARK_SIGMAS = (15, 25, 50)
-BENCHMARK_QUALITIES = (10, 20, 30, 40)
-
 
 @dataclass(frozen=True)
 class DegradationSpec:
@@ -97,9 +94,9 @@ def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int,
                        clip: bool = True) -> ImageBuffer:
     """Add N(0, sigma^2) per pixel on the 0..255 scale.
 
-    Stored low-quality images clip to the valid range; training pairs may
-    keep the unclipped floats (clip=False) so the noise statistics stay
-    exactly Gaussian.
+    The result is clipped to the valid range, for stored low-quality images
+    and training pairs alike; clip=False keeps the unclipped floats, whose
+    noise statistics stay exactly Gaussian.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -171,15 +168,14 @@ def dct_quantize_degrade(img: ImageBuffer, quality: int) -> ImageBuffer:
 
 # -- dispatch and pair sampling -------------------------------------------
 
-def degrade_image(img: ImageBuffer, spec: DegradationSpec,
-                  clip_noise: bool = True) -> ImageBuffer:
+def degrade_image(img: ImageBuffer, spec: DegradationSpec) -> ImageBuffer:
     if spec.kind == "bicubic":
         if img.height < spec.scale or img.width < spec.scale:
             raise ValueError("image smaller than the downscale factor")
         return bicubic_resize(img, img.height // spec.scale,
                               img.width // spec.scale)
     if spec.kind == "gaussian_noise":
-        return add_gaussian_noise(img, spec.sigma, spec.seed, clip=clip_noise)
+        return add_gaussian_noise(img, spec.sigma, spec.seed)
     return dct_quantize_degrade(img, spec.quality)
 
 

@@ -53,9 +53,6 @@ class ImageBuffer:
         """Quantize to uint8, round half away from zero, clamped to [0, 255]."""
         return quantize_u8(self.data)
 
-    def gray(self) -> bool:
-        return self.channels == 1
-
 
 def quantize_u8(x: np.ndarray) -> np.ndarray:
     scaled = np.clip(x, 0.0, 1.0).astype(np.float64) * 255.0

@@ -64,9 +64,6 @@ class SplitMix64:
         self.state = (self.state + n * GAMMA) & MASK64
         return _mix_array(counters)
 
-    def next_u64(self) -> int:
-        return int(self.u64(1)[0])
-
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
         return (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -102,9 +99,3 @@ class SplitMix64:
             out[filled : filled + keep.size] = keep
             filled += keep.size
         return out * std
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = int(self.u64(1)[0] % np.uint64(i + 1))
-            seq[i], seq[j] = seq[j], seq[i]

@@ -23,6 +23,11 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 
+# working-set budget of one block in the blocked kernels (layer_norm, gelu,
+# window_attention): small enough that every pass over a block's
+# temporaries hits cache, large enough that per-block overhead stays small
+_BLOCK_BYTES = 512 * 1024
+
 
 class no_grad:
     """Context manager that disables tape recording (inference mode)."""
@@ -80,9 +85,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -200,8 +202,12 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _taped(parents: Sequence[Tensor]) -> bool:
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    needs = _taped(parents)
     out = Tensor(out_data, requires_grad=needs, _prev=parents if needs else ())
     if needs:
         out._backward = backward
@@ -386,6 +392,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- neural-net ops ---------------------------------------------------------
 
+def _blocks(rows: int, row_bytes: int) -> list:
+    """Slices that cover ``range(rows)`` in blocks of whole rows, each
+    block's temporaries within ``_BLOCK_BYTES`` (one row at the least)."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """x[..., Din] @ weight[Din, Dout] (+ bias[Dout])."""
     x = _wrap(x)
@@ -396,7 +409,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     x2 = x.data.reshape(-1, din)
     out = x2 @ weight.data
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
 
     def backward(g):
         g2 = g.reshape(-1, dout)
@@ -460,17 +473,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to zero mean / unit variance, then scale
-    and shift. Population (biased) variance."""
+    and shift. Population (biased) variance.
+
+    Runs over blocks of rows (``_blocks``), every pass over a block while it
+    is in cache. The taped path keeps the normalized rows for backward;
+    without a tape they are formed in the output buffer."""
     x = _wrap(x)
     c = x.shape[-1]
     if c == 0:
         raise ValueError("layer_norm: empty normalization axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
+    x2 = x.data.reshape(-1, c)
+    out = np.empty_like(x2)
+    xhat = np.empty_like(x2) if _taped((x, gamma, beta)) else out
+    inv = np.empty((len(x2), 1), dtype=x2.dtype)
+    for rows in _blocks(len(x2), 3 * c * x2.itemsize):
+        xb, hb, ib = x2[rows], xhat[rows], inv[rows]
+        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
+        np.mean(hb * hb, axis=-1, keepdims=True, out=ib)
+        ib += eps
+        np.sqrt(ib, out=ib)
+        np.divide(1.0, ib, out=ib)
+        hb *= ib
+        ob = out[rows]
+        np.multiply(hb, gamma.data, out=ob)
+        ob += beta.data
+    xhat = xhat.reshape(x.shape)
+    inv = inv.reshape(*x.shape[:-1], 1)
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -481,7 +509,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         x._accumulate(inv * (gx - m1 - xhat * m2))
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(out.reshape(x.shape), (x, gamma, beta), backward)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -496,14 +524,22 @@ def _gelu_grad(xd: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact error-function GELU, x * Phi(x)."""
+    """Exact error-function GELU, x * Phi(x), over blocks of elements."""
     x = _wrap(x)
-    out = x.data * (0.5 * (1.0 + erf(x.data * _INV_SQRT2)))
+    flat = x.data.reshape(-1)
+    out = np.empty_like(flat)
+    for part in _blocks(flat.size, 2 * flat.itemsize):
+        xb, ob = flat[part], out[part]
+        np.multiply(xb, _INV_SQRT2, out=ob)
+        erf(ob, out=ob)
+        ob += 1.0
+        ob *= 0.5
+        ob *= xb
 
     def backward(g):
         x._accumulate(g * _gelu_grad(x.data))
 
-    return _make(out.astype(x.dtype, copy=False), (x,), backward)
+    return _make(out.reshape(x.shape), (x,), backward)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -529,46 +565,69 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     windows repeat over the batch. Returns softmax(Q K^T + B + mask) V
     with heads concatenated, [nW, m^2, C].
 
-    Scores live key-major, [nW, heads, key, query], so the softmax
-    reductions run over axis -2, which numpy vectorizes across the
-    contiguous query axis; bias, mask, exp and normalization then update
-    that one buffer in place, and it is kept as the attention matrix for
-    the backward pass.
+    Windows run in blocks (``_blocks``) sized so that a block's scores,
+    [windows, heads, key, query], stay in cache from Q K^T to the output.
+    Scores are key-major, so the softmax max runs over axis -2, which
+    numpy vectorizes across the contiguous query axis. Bias, the mask's
+    -inf entries (only on the block's masked windows), the max and exp
+    update one buffer in place into E = exp(S - max). E is never
+    normalized: its column sums come from one product, ones[1, key] @ E,
+    and the [query, d] output E^T V is scaled by their reciprocals r.
+    Without a tape the blocks share one block-sized score buffer; the
+    taped path keeps all of E and r.
+
+    Backward, with A = E r and gs = r g, the gradient g scaled per query:
+    dV = E gs, and the softmax rule dS = A (dA - D) with dA = V g^T and
+    D = rowsum(out * g) becomes dS = E (V gs^T - rowsum(out * gs)), as in
+    FlashAttention; dQ = dS^T K, dK = dS Q and dB = dS summed over windows.
     """
     qkv = _wrap(qkv)
     nw, mm, c3 = qkv.shape
     heads = bias.shape[0]
     c = c3 // 3
     d = c // heads
+    if mask is not None and nw % mask.shape[0]:
+        raise ValueError(f"{nw} windows not a multiple of {mask.shape[0]} mask windows")
+    dtype = qkv.dtype
     # [3, nW, heads, tokens, d] strided views; BLAS reads them in place
     q, k, v = qkv.data.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
-
-    scores = np.matmul(k, q.swapaxes(-1, -2))
-    scores += bias.data
-    if mask is not None:
-        if nw % mask.shape[0]:
-            raise ValueError(f"{nw} windows not a multiple of {mask.shape[0]} mask windows")
-        per_image = scores.reshape(nw // mask.shape[0], mask.shape[0], heads, mm, mm)
-        per_image[:, mask.windows] += mask.blocks
-    scores -= scores.max(axis=-2, keepdims=True)
-    np.exp(scores, out=scores)
-    scores *= 1.0 / scores.sum(axis=-2, keepdims=True)
-    attn = scores
 
     def heads_view(buf):
         return buf.reshape(nw, mm, heads, d).transpose(0, 2, 1, 3)
 
-    out = np.empty((nw, mm, c), dtype=qkv.dtype)
-    np.matmul(attn.swapaxes(-1, -2), v, out=heads_view(out))
+    out = np.empty((nw, mm, c), dtype=dtype)
+    out_h = heads_view(out)
+    taped = _taped((qkv, bias))
+    blocks = _blocks(nw, heads * mm * mm * dtype.itemsize)
+    e = np.empty((nw if taped else blocks[0].stop, heads, mm, mm), dtype=dtype)
+    r = np.empty((nw, heads, 1, mm), dtype=dtype)
+    ones = np.ones((1, mm), dtype=dtype)
+    for wins in blocks:
+        s = e[wins] if taped else e[:wins.stop - wins.start]
+        np.matmul(k[wins], q[wins].swapaxes(-1, -2), out=s)
+        s += bias.data
+        if mask is not None:
+            slots = mask.slots[np.arange(wins.start, wins.stop) % mask.shape[0]]
+            hit = slots >= 0
+            if hit.any():
+                s[hit] += mask.blocks[slots[hit]]
+        s -= s.max(axis=-2, keepdims=True)
+        np.exp(s, out=s)
+        rb = r[wins]
+        np.matmul(ones, s, out=rb)
+        np.divide(1.0, rb, out=rb)
+        ob = out_h[wins]
+        np.matmul(s.swapaxes(-1, -2), v[wins], out=ob)
+        ob *= rb.swapaxes(-1, -2)
 
     def backward(g):
-        g = heads_view(g)
+        gs = heads_view(g) * r.swapaxes(-1, -2)
         grad = np.empty_like(qkv.data)
         gq, gk, gv = grad.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
-        np.matmul(attn, g, out=gv)
-        ds = np.matmul(v, g.swapaxes(-1, -2))
-        ds -= (ds * attn).sum(axis=-2, keepdims=True)
-        ds *= attn
+        np.matmul(e, gs, out=gv)
+        ds = np.matmul(v, gs.swapaxes(-1, -2))
+        ds -= (out_h * gs).sum(axis=-1)[:, :, None]
+        ds *= e
         np.matmul(ds.swapaxes(-1, -2), k, out=gq)
         np.matmul(ds, q, out=gk)
         qkv._accumulate(grad)
@@ -604,9 +663,3 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     y = reshape(x, n, c, h, r, w, r)
     y = permute(y, 0, 1, 3, 5, 2, 4)
     return reshape(y, n, c * r * r, h, w)
-
-
-def assert_finite(x: Tensor, what: str = "tensor") -> Tensor:
-    if not np.isfinite(x.data).all():
-        raise FloatingPointError(f"{what} contains NaN/Inf")
-    return x

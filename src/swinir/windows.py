@@ -124,8 +124,10 @@ def _partition_np(x: np.ndarray, m: int) -> np.ndarray:
 class AttnMask(np.ndarray):
     """Read-only additive mask, [nW, m^2, m^2], plus the parts the fused
     attention core reads: ``windows``, the indices of the windows with
-    any nonzero entry, and ``blocks``, those windows' masks key-major,
-    shaped [len(windows), 1, m^2, m^2] to broadcast over heads.
+    any nonzero entry; ``blocks``, those windows' masks key-major, shaped
+    [len(windows), 1, m^2, m^2] to broadcast over heads; and ``slots``,
+    for every window its row in ``blocks`` or -1 if it is unmasked, so a
+    block of windows finds its masked ones by lookup.
 
     ``blocks`` holds -inf where the mask is nonzero, so masked pairs get
     weight exactly 0. With MASK_VALUE they would get about e^-100, which
@@ -134,6 +136,7 @@ class AttnMask(np.ndarray):
     slower, for no visible change in the output."""
     windows = None
     blocks = None
+    slots = None
 
 
 @lru_cache(maxsize=64)
@@ -145,7 +148,8 @@ def build_attn_mask(h: int, w: int, m: int, s: int) -> AttnMask:
     regions get MASK_VALUE so softmax drives their weight below 1e-8
     while staying finite and differentiable; the attention core adds the
     -inf ``blocks`` instead and gives them weight 0. Shift 0 gives an
-    all-zero mask. Cached, together with ``windows`` and ``blocks``.
+    all-zero mask. Cached, together with ``windows``, ``blocks`` and
+    ``slots``.
     """
     if s not in (0, m // 2):
         raise ValueError(f"shift must be 0 or {m // 2}, got {s}")
@@ -164,6 +168,8 @@ def build_attn_mask(h: int, w: int, m: int, s: int) -> AttnMask:
     mask.windows = np.flatnonzero(mask.any(axis=(1, 2)))
     masked = np.asarray(mask)[mask.windows, None].swapaxes(-1, -2) != 0
     mask.blocks = np.where(masked, np.float32(-np.inf), np.float32(0.0))
-    mask.setflags(write=False)
-    mask.blocks.setflags(write=False)
+    mask.slots = np.full(len(mask), -1, dtype=np.int64)
+    mask.slots[mask.windows] = np.arange(len(mask.windows))
+    for part in (mask, mask.blocks, mask.slots):
+        part.setflags(write=False)
     return mask

@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
 
+from swinir import tensor as tensor_mod
 from swinir.tensor import Tensor
+
+
+def block_budgets(monkeypatch):
+    """Run a loop body under two block budgets of the blocked tensor kernels
+    (layer_norm, gelu, window_attention): the default, in which test inputs
+    fit one block, then one byte, which gives every row (token, element or
+    window) a block of its own and so splits windows mid-image and
+    mid-mask."""
+    yield tensor_mod._BLOCK_BYTES
+    monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 1)
+    yield 1
+
+
+def assert_all_equal(runs):
+    """Every run's list of arrays equals the first run's, bit for bit."""
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def fd_gradients(fn, arrays, step=1e-4):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import check_gradients, dense_attention_oracle, make_attn_params
+from conftest import (assert_all_equal, block_budgets, check_gradients,
+                      dense_attention_oracle, make_attn_params, tape_gradients)
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               mlp_forward, relative_position_index,
                               stl_forward, window_msa)
-from swinir.tensor import Tensor, gelu, sum_
+from swinir.tensor import Tensor, gelu, no_grad, sum_, window_attention
 from swinir.windows import (WindowGrid, build_attn_mask, cyclic_shift,
                             pad_to_multiple, window_partition)
 
@@ -74,21 +77,27 @@ class TestWindowMsa:
         got = window_msa(Tensor(x), params).data
         np.testing.assert_allclose(got, dense_attention_oracle(x, params), atol=1e-5)
 
-    def test_matches_dense_oracle_many_windows(self, rng):
+    def test_matches_dense_oracle_many_windows(self, rng, monkeypatch):
         c, heads, m = 6, 3, 2
         params = make_attn_params(c, heads, m, rng=rng)
         x = rng.normal(size=(5, m * m, c)).astype(np.float32)
-        got = window_msa(Tensor(x), params).data
-        np.testing.assert_allclose(got, dense_attention_oracle(x, params), atol=1e-5)
-
         # shifted pass on a batch of two 6x6 images: 9 mask windows, of
         # which only the last row and column are nonzero, repeated per image
         mask = build_attn_mask(6, 6, m, 1)
         assert 0 < len(mask.windows) < len(mask)
-        x = rng.normal(size=(2 * len(mask), m * m, c)).astype(np.float32)
-        got = window_msa(Tensor(x), params, mask).data
-        np.testing.assert_allclose(got, dense_attention_oracle(x, params, mask),
-                                   atol=1e-5)
+        xm = rng.normal(size=(2 * len(mask), m * m, c)).astype(np.float32)
+        runs = []
+        for _ in block_budgets(monkeypatch):
+            got = window_msa(Tensor(x), params).data
+            np.testing.assert_allclose(got, dense_attention_oracle(x, params),
+                                       atol=1e-5)
+            got_masked = window_msa(Tensor(xm), params, mask).data
+            np.testing.assert_allclose(got_masked,
+                                       dense_attention_oracle(xm, params, mask),
+                                       atol=1e-5)
+            runs.append([got, got_masked])
+        # blocks change no window's arithmetic
+        assert_all_equal(runs)
 
     def test_permutation_equivariance_unbiased(self, rng):
         c, m = 6, 2
@@ -125,7 +134,7 @@ class TestWindowMsa:
                     assert bumped[w, ii, jj] == pytest.approx(1.0 / 5.0, abs=1e-6)
             assert base[w, i, j] == pytest.approx(0.25, abs=1e-6)
 
-    def test_shifted_batch_gradcheck_float64(self, rng):
+    def test_shifted_batch_gradcheck_float64(self, rng, monkeypatch):
         # window 7 on 9x9 images: reflect-padded to 14x14, shifted by 3,
         # two images sharing one 4-window mask
         c, heads, m, s = 4, 2, 7, 3
@@ -145,7 +154,29 @@ class TestWindowMsa:
             wins = window_partition(cyclic_shift(padded, s), m)
             return sum_(window_msa(wins, params, mask) ** 2.0)
 
-        check_gradients(fn, arrays)
+        runs = []
+        for _ in block_budgets(monkeypatch):
+            check_gradients(fn, arrays)
+            runs.append(tape_gradients(fn, arrays))
+        assert_all_equal(runs)
+
+    def test_inference_memory_below_score_tensor(self, rng):
+        # a lightweight x2 layer at 128^2: 256 windows of 8x8 tokens, C=60
+        # in 6 heads; the full [nW, heads, key, query] float32 score tensor
+        # would take 25 MB, the blocked core holds one block of it
+        nw, mm, heads = 256, 64, 6
+        qkv = Tensor(rng.normal(size=(nw, mm, 180)).astype(np.float32))
+        bias = Tensor(rng.normal(size=(heads, mm, mm)).astype(np.float32))
+        mask = build_attn_mask(128, 128, 8, 4)
+        full_scores = nw * heads * mm * mm * 4
+        tracemalloc.start()
+        try:
+            with no_grad():
+                window_attention(qkv, bias, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_scores
 
     def test_heads_must_divide_channels(self, rng):
         params = make_attn_params(4, 2, 2, rng=rng)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients, max_rel_err, tape_gradients
+from conftest import (assert_all_equal, block_budgets, check_gradients,
+                      max_rel_err, tape_gradients)
 from swinir import tensor as T
 from swinir.tensor import (Tensor, abs_, concat, conv2d, gelu, layer_norm,
                            linear, matmul, mean, no_grad, pixel_shuffle,
@@ -93,12 +94,21 @@ class TestLayerNorm:
         out = layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-5)
         np.testing.assert_allclose(out.data, [[0.999995, -0.999995]], atol=1e-6)
 
-    def test_gradients(self, rng):
+    def test_gradients(self, rng, monkeypatch):
         x = rng.uniform(size=(3, 6))
         g = 1.0 + 0.2 * rng.normal(size=(6,))
         b = 0.2 * rng.normal(size=(6,))
-        check_gradients(lambda *a: sum_(layer_norm(*a)), [x, g, b])
-        check_gradients(lambda *a: sum_(mean(layer_norm(*a) ** 2.0)), [x, g, b])
+
+        def squares(*a):
+            return sum_(mean(layer_norm(*a) ** 2.0))
+
+        runs = []
+        for _ in block_budgets(monkeypatch):
+            check_gradients(lambda *a: sum_(layer_norm(*a)), [x, g, b])
+            check_gradients(squares, [x, g, b])
+            out = layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+            runs.append([out] + tape_gradients(squares, [x, g, b]))
+        assert_all_equal(runs)
 
     def test_empty_axis_raises(self):
         with pytest.raises(ValueError):
@@ -118,9 +128,14 @@ class TestGelu:
         val = gelu(Tensor(np.array([8.0]))).item()
         assert abs(val / 8.0 - 1.0) < 1e-6
 
-    def test_gradients(self, rng):
+    def test_gradients(self, rng, monkeypatch):
         x = rng.normal(size=(2, 7))
-        check_gradients(lambda a: sum_(gelu(a)), [x])
+        runs = []
+        for _ in block_budgets(monkeypatch):
+            check_gradients(lambda a: sum_(gelu(a)), [x])
+            runs.append([gelu(Tensor(x)).data]
+                        + tape_gradients(lambda a: sum_(gelu(a)), [x]))
+        assert_all_equal(runs)
 
 
 class TestSoftmax:
