@@ -1,9 +1,9 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format, for model parameters and for resume state.
 
 Layout, all integers little-endian:
 
     magic           4 bytes  "SWIR"
-    version         u32      currently 1
+    version         u32      1: parameters only; 2: with resume state
     config block    13 x i32 (see _CONFIG_FIELDS; mlp_ratio stored as
                              round(ratio * 1000), enums as indices,
                              booleans as 0/1)
@@ -13,10 +13,13 @@ Layout, all integers little-endian:
         rank        u8
         dims        u64 each
         data        float32 raw, row-major
+    resume state    version 2 only: step u64, sampler RNG state u64, best
+                    PSNR f64 (-inf before the first), then Adam m and Adam
+                    v as float32 raw, in record order and shapes
     checksum        u32      CRC-32 of every preceding byte
 
 The parameter order is the canonical ``ModelParams.named()`` walk, so a
-file is byte-reproducible from (config, parameter values).
+file is byte-reproducible from (config, parameter values, resume state).
 """
 from __future__ import annotations
 
@@ -24,16 +27,16 @@ import math
 import os
 import struct
 import zlib
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .model import (HEAD_STYLES, TASKS, ModelParams, SwinIRConfig,
-                    init_params)
-from .tensor import Tensor
+                    build_params, param_count)
 
 MAGIC = b"SWIR"
-VERSION = 1
+VERSION = 1           # parameters only
+STATE_VERSION = 2     # parameters plus resume state
 
 _CONFIG_FIELDS = ("task", "scale", "in_channels", "out_channels", "channels",
                   "rstb_count", "stl_per_rstb", "window", "heads",
@@ -64,79 +67,98 @@ def _config_from_ints(vals: list[int]) -> SwinIRConfig:
         raise CheckpointError(f"invalid config block: {exc}") from None
 
 
-def serialize(params: ModelParams) -> bytes:
+def serialize(params: ModelParams, state=None) -> bytes:
+    """The file bytes of ``params``; a ``train.TrainState`` given as
+    ``state`` adds the resume section and makes it a version-2 file."""
     named = list(params.named())
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    parts.append(struct.pack(f"<{len(_CONFIG_FIELDS)}i",
-                             *_config_ints(params.config)))
-    parts.append(struct.pack("<I", len(named)))
+    version = VERSION if state is None else STATE_VERSION
+    parts = [MAGIC, struct.pack(f"<I{len(_CONFIG_FIELDS)}iI", version,
+                                *_config_ints(params.config), len(named))]
     for name, tensor in named:
         raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<B", tensor.ndim))
-        parts.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
+        parts.append(struct.pack(f"<H{len(raw)}sB{tensor.ndim}Q", len(raw), raw,
+                                 tensor.ndim, *tensor.shape))
         parts.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    if state is not None:
+        parts.append(struct.pack("<QQd", state.step, state.rng_state,
+                                 state.best_psnr))
+        parts += [np.ascontiguousarray(moments[name], dtype="<f4").tobytes()
+                  for moments in (state.m, state.v) for name, _ in named]
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def save_checkpoint(params: ModelParams, path: str) -> None:
+def save_checkpoint(params: ModelParams, path: str, state=None) -> None:
     """Write through a temporary file and rename, so a crash never leaves
     a half-written checkpoint at ``path``."""
-    blob = serialize(params)
+    blob = serialize(params, state)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
     os.replace(tmp, path)
 
 
-def _parse_body(body: bytes) -> tuple[SwinIRConfig, Dict[str, np.ndarray]]:
+def _parse_body(body: bytes) -> tuple:
     off = 4
-    (version,) = struct.unpack_from("<I", body, off)
-    off += 4
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    n_fields = len(_CONFIG_FIELDS)
-    vals = list(struct.unpack_from(f"<{n_fields}i", body, off))
-    off += 4 * n_fields
-    cfg = _config_from_ints(vals)
-    (count,) = struct.unpack_from("<I", body, off)
-    off += 4
 
+    def unpack(fmt: str) -> tuple:
+        nonlocal off
+        vals = struct.unpack_from(fmt, body, off)
+        off += struct.calcsize(fmt)
+        return vals
+
+    def floats(name: str, dims) -> np.ndarray:
+        nonlocal off
+        arr = np.frombuffer(body, dtype="<f4", count=math.prod(dims), offset=off)
+        off += arr.nbytes
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{name}: non-finite values")
+        return arr.reshape(dims).astype(np.float32)
+
+    version, *vals, count = unpack(f"<I{len(_CONFIG_FIELDS)}iI")
+    if version not in (VERSION, STATE_VERSION):
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    cfg = _config_from_ints(vals)
+    # refuse a config the body cannot hold before building anything its size
+    copies = 1 if version == VERSION else 3      # parameters, Adam m and v
+    if 4 * copies * param_count(cfg) > len(body) - off:
+        raise CheckpointError(f"config block asks for {param_count(cfg)} "
+                              f"parameters, more than the file holds")
     flat: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", body, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}Q", body, off)
-        off += 8 * rank
-        n = math.prod(dims)
-        arr = np.frombuffer(body, dtype="<f4", count=n, offset=off)
-        off += 4 * n
-        flat[name] = arr.reshape(dims).astype(np.float32)
+        (name_len,) = unpack("<H")
+        name = unpack(f"<{name_len}s")[0].decode("utf-8")
+        (rank,) = unpack("<B")
+        flat[name] = floats(name, unpack(f"<{rank}Q"))
+    state = None
+    if version == STATE_VERSION:
+        step, rng_state, best_psnr = unpack("<QQd")
+        if not best_psnr < math.inf:
+            raise CheckpointError(f"best PSNR {best_psnr} is NaN or +inf")
+        state = dict(step=step, rng_state=rng_state, best_psnr=best_psnr,
+                     m={n: floats(n, arr.shape) for n, arr in flat.items()},
+                     v={n: floats(n, arr.shape) for n, arr in flat.items()})
     if off != len(body):
-        raise CheckpointError(f"{len(body) - off} trailing bytes after parameters")
-    return cfg, flat
+        raise CheckpointError(f"{len(body) - off} trailing bytes")
+    return cfg, flat, state
 
 
-def deserialize(blob: bytes) -> ModelParams:
+def deserialize(blob: bytes) -> Tuple[ModelParams, Optional[dict]]:
+    """The parameters, and for a version-2 file the resume state as a dict
+    of ``train.TrainState`` fields (None for version 1)."""
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(body) != stored:
         raise CheckpointError("checksum mismatch, refusing to load")
     try:
-        cfg, flat = _parse_body(body)
+        cfg, flat, state = _parse_body(body)
     except (struct.error, ValueError, UnicodeDecodeError, OverflowError) as exc:
         # records that run past the end of the body, a name that is not
         # UTF-8, or dims whose product no buffer can hold
         raise CheckpointError(f"malformed checkpoint body: {exc}") from None
 
-    params = init_params(cfg, seed=0)
+    params = build_params(cfg, rng=None)
     expected = dict(params.named())
     if set(expected) != set(flat):
         missing = sorted(set(expected) - set(flat))[:3]
@@ -147,16 +169,20 @@ def deserialize(blob: bytes) -> ModelParams:
         if tensor.shape != flat[name].shape:
             raise CheckpointError(
                 f"{name}: shape {flat[name].shape} != expected {tensor.shape}")
-        if not np.isfinite(flat[name]).all():
-            raise CheckpointError(f"{name}: non-finite values")
-        tensor.data = np.ascontiguousarray(flat[name])
-    return params
+        tensor.data = flat[name]
+    return params, state
+
+
+def read_checkpoint(path: str) -> Tuple[ModelParams, Optional[dict]]:
+    """``deserialize`` of the file at ``path``; every error names the file."""
+    try:
+        with open(path, "rb") as fh:
+            return deserialize(fh.read())
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from None
-    return deserialize(blob)
+    return read_checkpoint(path)[0]

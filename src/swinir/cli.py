@@ -12,17 +12,18 @@ import argparse
 import os
 import secrets
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import fields as dc_fields, replace
 from typing import Dict, Optional
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .degrade import DegradationSpec, degrade_image
 from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
                       read_manifest, save_image)
 from .metrics import eval_pair
-from .model import (SwinIRConfig, init_params, param_count, tiny_config)
+from .model import SwinIRConfig, tiny_config
+from .rng import derive
 from .train import (PairDataset, TrainConfig, gradcheck,
                     make_validation_pairs, restore_image, train)
 
@@ -138,22 +139,22 @@ def _gather_inputs(path: str) -> list[str]:
     return [path]
 
 
-def _load_images(path: str) -> list[ImageBuffer]:
-    if os.path.isfile(path) and not path.lower().endswith((".pgm", ".ppm")):
-        names = read_manifest(path)
-    else:
-        names = _gather_inputs(path)
+def _read(load, path: str):
+    """``load(path)``; a file that cannot be read or parsed is a data error."""
     try:
-        return [load_image(p) for p in names]
+        return load(path)
     except ImageFormatError as exc:
         raise _fail(str(exc), EXIT_DATA)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _fail(f"cannot read {path}: {exc}", EXIT_DATA)
 
 
-def _load_ckpt(path: str):
-    try:
-        return load_checkpoint(path)
-    except CheckpointError as exc:
-        raise _fail(f"{path}: {exc}", EXIT_DATA)
+def _load_images(path: str) -> list[ImageBuffer]:
+    if os.path.isfile(path) and not path.lower().endswith((".pgm", ".ppm")):
+        names = _read(read_manifest, path)
+    else:
+        names = _gather_inputs(path)
+    return [_read(load_image, p) for p in names]
 
 
 # -- subcommands ------------------------------------------------------------
@@ -179,14 +180,9 @@ def cmd_degrade(args) -> int:
     if many:
         os.makedirs(args.out, exist_ok=True)
     for i, path in enumerate(inputs):
-        try:
-            img = load_image(path)
-        except ImageFormatError as exc:
-            raise _fail(str(exc), EXIT_DATA)
-        from .rng import derive
-        per_img = spec if spec.kind != "gaussian_noise" else \
-            DegradationSpec(kind=spec.kind, sigma=spec.sigma,
-                            seed=derive(seed, i))
+        img = _read(load_image, path)
+        per_img = replace(spec, seed=derive(seed, i)) \
+            if spec.kind == "gaussian_noise" else spec
         out_img = degrade_image(img, per_img)
         dest = os.path.join(args.out, os.path.basename(path)) if many else args.out
         save_image(out_img, dest)
@@ -222,16 +218,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    params = _load_ckpt(args.ckpt)
+    params = load_checkpoint(args.ckpt)
     inputs = _gather_inputs(getattr(args, "in"))
     many = len(inputs) > 1 or os.path.isdir(getattr(args, "in"))
     if many:
         os.makedirs(args.out, exist_ok=True)
     for path in inputs:
-        try:
-            img = load_image(path)
-        except ImageFormatError as exc:
-            raise _fail(str(exc), EXIT_DATA)
+        img = _read(load_image, path)
         if img.channels != params.config.in_channels:
             raise _fail(f"{path}: {img.channels} channels, model expects "
                         f"{params.config.in_channels}", EXIT_DATA)
@@ -242,7 +235,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = _load_ckpt(args.ckpt) if args.ckpt else None
+    params = load_checkpoint(args.ckpt) if args.ckpt else None
     lq_by_name = {os.path.basename(p): p for p in _gather_inputs(args.lq_dir)}
     hq_by_name = {os.path.basename(p): p for p in _gather_inputs(args.hq_dir)}
     unmatched = sorted(lq_by_name.keys() ^ hq_by_name.keys())
@@ -256,10 +249,7 @@ def cmd_eval(args) -> int:
     psnrs, ssims = [], []
     for name in names:
         lp, hp = lq_by_name[name], hq_by_name[name]
-        try:
-            lq, hq = load_image(lp), load_image(hp)
-        except ImageFormatError as exc:
-            raise _fail(str(exc), EXIT_DATA)
+        lq, hq = _read(load_image, lp), _read(load_image, hp)
         restored = restore_image(params, lq) if params else lq
         p, s = eval_pair(restored, hq, border=args.border)
         psnrs.append(p)
@@ -283,7 +273,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    params = _load_ckpt(args.ckpt)
+    params = load_checkpoint(args.ckpt)
     total = 0
     for name, t in params.named():
         dims = "x".join(str(d) for d in t.shape)
@@ -324,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", help="validation images dir or manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--iterations", type=int, help="override config iterations")
-    p.add_argument("--resume", help="train_state.json to resume from")
+    p.add_argument("--resume", help="last.ckpt of an earlier run to resume "
+                                    "from; its model config must match")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
@@ -364,9 +355,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, CheckpointError) as exc:   # the latter names its file
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return getattr(exc, "code", EXIT_DATA)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

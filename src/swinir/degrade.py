@@ -12,7 +12,6 @@ Everything here is a deterministic function of (input, spec, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -13,8 +13,8 @@ names (``rstb.3.stl.1.attn.wq``), which is also the checkpoint order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,8 +65,10 @@ class SwinIRConfig:
             raise ValueError("channel count must be positive")
         if self.heads <= 0 or self.channels % self.heads:
             raise ValueError(f"{self.heads} heads do not divide {self.channels} channels")
-        if min(self.rstb_count, self.stl_per_rstb, self.window,
-               self.in_channels, self.out_channels) < 0:
+        if not 0 <= self.mlp_ratio < math.inf:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} is not finite and >= 0")
+        if min(self.rstb_count, self.stl_per_rstb, self.window, self.in_channels,
+               self.out_channels, self.head_channels) < 0:
             raise ValueError("negative structural field")
         return self
 
@@ -198,11 +200,17 @@ def init_params(cfg: SwinIRConfig, seed: int = 0,
     every bias at zero. Build with dtype float64 to run the whole model
     in the gradient-check shadow mode.
     """
-    cfg.validate()
-    rng = SplitMix64(seed)
+    return build_params(cfg.validate(), SplitMix64(seed), dtype)
+
+
+def build_params(cfg: SwinIRConfig, rng: Optional[SplitMix64],
+                 dtype=np.float32) -> ModelParams:
+    """Parameters of ``cfg``; without ``rng`` the weights stay uninitialized."""
     c = cfg.channels
 
     def trunc(shape, std):
+        if rng is None:
+            return Tensor(np.empty(shape, dtype=dtype), requires_grad=True)
         n = int(np.prod(shape))
         return Tensor(rng.truncated_normal(n, std=std).reshape(shape).astype(dtype),
                       requires_grad=True)
@@ -220,7 +228,8 @@ def init_params(cfg: SwinIRConfig, seed: int = 0,
     def lin(din, dout):
         return trunc((din, dout), 0.02), zeros((dout,))
 
-    rel = relative_position_index(cfg.window)
+    # window^4 indices: none for a model without layers, whatever its window
+    rel = relative_position_index(cfg.window) if cfg.rstb_count * cfg.stl_per_rstb else None
 
     def stl(shift):
         wq, bq = lin(c, c)

@@ -14,7 +14,7 @@ gradients).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf

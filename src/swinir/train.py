@@ -7,8 +7,6 @@ super-resolution, Charbonnier for denoising and artifact reduction.
 """
 from __future__ import annotations
 
-import base64
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -16,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from .degrade import DegradationSpec, degrade_image, sample_patch_pair
 from .imageio import ImageBuffer
 from .losses import LossConfig, compute_loss, loss_for_task
@@ -194,9 +192,10 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
     """Optimize a model on synthesized pairs.
 
-    Writes ``last.ckpt`` / ``best.ckpt`` / ``train_state.json`` and appends
-    to ``metrics.log`` under ``out_dir`` when given. On divergence the
-    most recent checkpoints are left in place and the result is flagged.
+    Writes ``last.ckpt`` (with resume state, what ``resume`` takes) and
+    ``best.ckpt`` and appends to ``metrics.log`` under ``out_dir`` when
+    given. On divergence the most recent checkpoints are left in place
+    and the result is flagged.
     """
     model_cfg.validate()
     loss_cfg = loss_cfg or loss_for_task(model_cfg.task)
@@ -204,11 +203,13 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
 
     if resume:
         params, state = load_train_state(resume)
+        if params.config != model_cfg:
+            raise ValueError(f"{resume} holds a model whose config differs "
+                             f"from the one given")
     else:
         params = init_params(model_cfg, seed=derive(train_cfg.seed, 0x1817))
         state = TrainState.fresh(params, derive(train_cfg.seed, 0x5EED))
-    rng = SplitMix64(0)
-    rng.state = state.rng_state
+    rng = SplitMix64(state.rng_state)
 
     result = TrainResult(params=params, state=state, best_psnr=state.best_psnr)
     if out_dir:
@@ -226,18 +227,16 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     def save_all(best: bool) -> None:
         if not out_dir:
             return
-        save_checkpoint(params, os.path.join(out_dir, "last.ckpt"))
+        state.rng_state = rng.state
+        save_train_state(params, state, os.path.join(out_dir, "last.ckpt"))
         if best:
             save_checkpoint(params, os.path.join(out_dir, "best.ckpt"))
-        state.rng_state = rng.state
-        save_train_state(params, state, os.path.join(out_dir, "train_state.json"))
 
     def validate(step: int, loss_val: float, lr: float) -> None:
         val = validation_psnr(params, val_pairs, border) if val_pairs else float("nan")
         best = val > result.best_psnr
         if best:
-            result.best_psnr = val
-            state.best_psnr = val
+            result.best_psnr = state.best_psnr = val
         emit(_metrics_line(step, loss_val, val, lr))
         save_all(best)
 
@@ -245,9 +244,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
         save_all(best=False)
         return result
 
-    last_loss = math.nan
-    start = state.step
-    for step in range(start, train_cfg.iterations):
+    for step in range(state.step, train_cfg.iterations):
         lq, hq = dataset.sample_batch(train_cfg, rng, step)
         pred = forward(params, Tensor(lq))
         loss = compute_loss(loss_cfg, pred, Tensor(hq))
@@ -272,39 +269,18 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     return result
 
 
-# -- train-state persistence (sidecar, not the public checkpoint format) ---
+# -- train-state persistence (a version-2 checkpoint) ----------------------
 
 
 def save_train_state(params: ModelParams, state: TrainState, path: str) -> None:
-    def pack(d: Dict[str, np.ndarray]) -> Dict[str, str]:
-        return {k: base64.b64encode(v.astype("<f4").tobytes()).decode("ascii")
-                for k, v in d.items()}
-
-    shapes = {n: list(t.shape) for n, t in params.named()}
-    doc = {"step": state.step, "rng_state": f"{state.rng_state:016x}",
-           "best_psnr": state.best_psnr, "shapes": shapes,
-           "m": pack(state.m), "v": pack(state.v)}
-    ckpt_path = path + ".params"
-    save_checkpoint(params, ckpt_path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    save_checkpoint(params, path, state)
 
 
 def load_train_state(path: str) -> Tuple[ModelParams, TrainState]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    params = load_checkpoint(path + ".params")
-
-    def unpack(d: Dict[str, str]) -> Dict[str, np.ndarray]:
-        return {k: np.frombuffer(base64.b64decode(v), dtype="<f4")
-                  .reshape(doc["shapes"][k]).astype(np.float32)
-                for k, v in d.items()}
-
-    state = TrainState(m=unpack(doc["m"]), v=unpack(doc["v"]),
-                       step=int(doc["step"]),
-                       rng_state=int(doc["rng_state"], 16),
-                       best_psnr=float(doc["best_psnr"]))
-    return params, state
+    params, fields = read_checkpoint(path)
+    if fields is None:
+        raise CheckpointError(f"{path} holds parameters only, no resume state")
+    return params, TrainState(**fields)
 
 
 # -- gradient checking ------------------------------------------------------
@@ -314,7 +290,6 @@ def load_train_state(path: str) -> Tuple[ModelParams, TrainState]:
 class GradcheckReport:
     tolerance: float
     groups: Dict[str, float]        # parameter name -> max relative error
-    losses: Tuple[str, ...] = ("l1", "charbonnier")
 
     @property
     def max_error(self) -> float:
@@ -389,4 +364,4 @@ def gradcheck(model_cfg: SwinIRConfig, tolerance: float = 1e-4,
                 nflat[i] = (hi - lo) / (2.0 * step)
             err = float(_rel_err(analytic, numeric).max())
             groups[name] = max(groups.get(name, 0.0), err)
-    return GradcheckReport(tolerance=tolerance, groups=groups, losses=losses)
+    return GradcheckReport(tolerance=tolerance, groups=groups)

@@ -183,6 +183,85 @@ class TestTrainCommand:
         capsys.readouterr()
 
 
+class TestTrainResume:
+    def train(self, tmp_path, out, *extra, **overrides):
+        write_images(tmp_path / "data", n=2)
+        cfg = write_config(tmp_path / "c.cfg", iterations=4, **overrides)
+        return main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / out), *extra])
+
+    def test_resume_from_last_ckpt(self, tmp_path, capsys):
+        assert self.train(tmp_path, "run", "--iterations", "2") == 0
+        assert self.train(tmp_path, "more", "--resume",
+                          str(tmp_path / "run" / "last.ckpt")) == 0
+        # the resumed run starts at step 2, so it validates only at step 4
+        assert (tmp_path / "more" / "metrics.log").read_text().startswith("step 4 ")
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("content", [None, b"not a checkpoint\n", "params"])
+    def test_unusable_resume_file_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "state.ckpt"
+        if content == "params":
+            save_checkpoint(init_params(tiny_config(), seed=0), str(path))
+        elif content is not None:
+            path.write_bytes(content)
+        capsys.readouterr()
+        assert self.train(tmp_path, "run", "--resume", str(path)) == 3
+        assert str(path) in capsys.readouterr().err
+
+    def test_resume_state_of_another_config_is_usage_error(self, tmp_path, capsys):
+        assert self.train(tmp_path, "sr", "--iterations", "0", task="sr",
+                          scale=2) == 0
+        capsys.readouterr()
+        rc = self.train(tmp_path, "denoise", "--resume",
+                        str(tmp_path / "sr" / "last.ckpt"))
+        assert rc == 2
+        assert "config" in capsys.readouterr().err
+        assert not (tmp_path / "denoise" / "last.ckpt").exists()
+
+
+class TestUnreadableImages:
+    """Images and manifests that cannot be read are data errors (exit 3)
+    naming the file, in every command that reads them."""
+
+    def test_manifest_naming_missing_image(self, tmp_path, capsys):
+        manifest = tmp_path / "list.txt"
+        manifest.write_text("missing.pgm\n")
+        cfg = write_config(tmp_path / "c.cfg")
+        rc = main(["train", "--config", str(cfg), "--data", str(manifest),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "missing.pgm" in capsys.readouterr().err
+
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        manifest = tmp_path / "list.txt"
+        manifest.write_bytes(b"\xff\xfe img.pgm\n")
+        cfg = write_config(tmp_path / "c.cfg")
+        rc = main(["train", "--config", str(cfg), "--data", str(manifest),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "list.txt" in capsys.readouterr().err
+
+    def test_directory_named_like_an_image(self, tmp_path, capsys):
+        # image_paths lists it by name; opening it is an OSError
+        ckpt, _ = make_ckpt(tmp_path)
+        write_images(tmp_path / "in", n=1, size=16)
+        (tmp_path / "in" / "sub.pgm").mkdir()
+        commands = (
+            ["degrade", "--task", "car", "--quality", "10", "--seed", "1",
+             "--in", str(tmp_path / "in"), "--out", str(tmp_path / "o1")],
+            ["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "in"),
+             "--out", str(tmp_path / "o2")],
+            ["eval", "--lq-dir", str(tmp_path / "in"), "--hq-dir", str(tmp_path / "in")],
+            ["train", "--config", str(write_config(tmp_path / "c.cfg")),
+             "--data", str(tmp_path / "in"), "--out", str(tmp_path / "run")],
+        )
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 3, argv[0]
+            assert "sub.pgm" in capsys.readouterr().err, argv[0]
+
+
 def make_ckpt(tmp_path, cfg=None, seed=0):
     params = init_params(cfg or tiny_config(), seed=seed)
     path = tmp_path / "model.ckpt"

@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,6 +18,7 @@ from swinir.model import (ModelParams, SwinIRConfig, classical_sr_config,
                           reconstruct_residual, reconstruct_sr, rstb_forward,
                           shallow_extract, tiny_config)
 from swinir.tensor import Tensor, sum_
+from swinir.train import TrainState
 
 
 def zero_(t):
@@ -275,6 +278,15 @@ class TestAccounting:
         with pytest.raises(ValueError):
             param_count(SwinIRConfig(channels=0))
 
+    def test_unbuildable_sizes_rejected(self):
+        # a checkpoint's config block can hold any of these; none may
+        # reach the allocation of a tensor with a negative dimension
+        for bad in (dict(mlp_ratio=-0.5), dict(mlp_ratio=float("inf")),
+                    dict(mlp_ratio=float("nan")),
+                    dict(head_style="staged", head_channels=-1)):
+            with pytest.raises(ValueError):
+                SwinIRConfig(**bad).validate()
+
     def test_count_matches_built_params(self):
         for cfg in (tiny_config(), tiny_config(task="sr", scale=3, channels=16,
                                                heads=4, stl_per_rstb=3)):
@@ -364,3 +376,108 @@ class TestCheckpoint:
     def test_bad_magic_refused(self):
         with pytest.raises(CheckpointError, match="magic"):
             deserialize(b"NOPE" + b"\x00" * 64)
+
+    def test_state_section_follows_version_1_layout(self):
+        params = init_params(tiny_config(), seed=0)
+        state = TrainState.fresh(params, seed=1)
+        rng = np.random.default_rng(0)
+        for name, t in params.named():
+            state.m[name][...] = rng.normal(size=t.shape)
+            state.v[name][...] = rng.uniform(size=t.shape)
+        state.step, state.best_psnr = 5, 20.25
+        v1, v2 = serialize(params), serialize(params, state)
+        assert v1[4:8] == struct.pack("<I", 1)
+        assert v2[4:8] == struct.pack("<I", 2)
+        assert v2[8:len(v1) - 4] == v1[8:-4]
+        moments = b"".join(state.m[n].astype("<f4").tobytes() for n, _ in params.named()) \
+            + b"".join(state.v[n].astype("<f4").tobytes() for n, _ in params.named())
+        assert v2[len(v1) - 4:-4] == \
+            struct.pack("<QQd", 5, state.rng_state, 20.25) + moments
+        loaded, fields = deserialize(v2)
+        assert serialize(loaded) == v1
+        assert (fields["step"], fields["best_psnr"]) == (5, 20.25)
+        assert deserialize(v1)[1] is None
+
+    def test_huge_config_refused_before_allocation(self):
+        # 8,689 bytes whose config asks for 106.5G floats: refused from
+        # the sizes alone, without building the model
+        body = bytearray(serialize(init_params(tiny_config(), seed=0))[:-4])
+        for field, value in (("channels", 65536), ("heads", 1)):
+            struct.pack_into("<i", body, 8 + 4 * _CONFIG_FIELDS.index(field), value)
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="asks for 106517194392"):
+                deserialize(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob) * 4
+
+    def test_non_finite_values_refused(self):
+        # NaN in a parameter, in an Adam moment, or as the best PSNR
+        params = init_params(tiny_config(), seed=0)
+        state = TrainState.fresh(params, seed=0)
+        v1 = serialize(params)
+        nan32, nan64 = struct.pack("<f", math.nan), struct.pack("<d", math.nan)
+        for blob, at, value, match in (
+                (v1, len(v1) - 8, nan32, "non-finite"),
+                (serialize(params, state), -8, nan32, "non-finite"),
+                (serialize(params, state), len(v1) - 4 + 16, nan64, "best PSNR")):
+            body = bytearray(blob[:-4])
+            body[at:at + len(value)] = value
+            with pytest.raises(CheckpointError, match=match):
+                deserialize(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_bytes_load_or_refuse(self, data):
+        # a random tail after a prefix (possibly empty) of a valid file, so
+        # that the version, config block and records are reached, with and
+        # without a CRC recomputed over it
+        params = init_params(tiny_config(), seed=0)
+        valid = data.draw(st.sampled_from(
+            [serialize(params), serialize(params, TrainState.fresh(params, 0))]))
+        keep = data.draw(st.integers(0, len(valid) - 4), label="keep")
+        body = valid[:keep] + data.draw(st.binary(max_size=300), label="tail")
+        blob = data.draw(st.sampled_from([body, body + struct.pack("<I", zlib.crc32(body))]))
+        try:
+            deserialize(blob)
+        except CheckpointError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_bit_flip_with_valid_crc_loads_or_refuses(self, data):
+        params = init_params(tiny_config(), seed=0)
+        for state in (None, TrainState.fresh(params, 0)):
+            body = bytearray(serialize(params, state)[:-4])
+            bit = data.draw(st.integers(0, 8 * len(body) - 1), label="bit")
+            _flip_loads_or_refuses(body, bit)
+
+    def test_every_bit_flip_outside_values_loads_or_refuses(self):
+        # every bit that is not a stored float value: header, config
+        # block, record names, ranks and dims, and the state scalars
+        params = init_params(tiny_config(), seed=0)
+        for state in (None, TrainState.fresh(params, 0)):
+            body = bytearray(serialize(params, state)[:-4])
+            off = 8 + 4 * len(_CONFIG_FIELDS) + 4     # magic .. record count
+            offsets = list(range(off))
+            for name, t in params.named():
+                head = 2 + len(name) + 1 + 8 * t.ndim
+                offsets += range(off, off + head)
+                off += head + 4 * t.size
+            if state is not None:
+                offsets += range(off, off + 24)
+            for byte in offsets:
+                for bit in range(8):
+                    _flip_loads_or_refuses(body, 8 * byte + bit)
+
+
+def _flip_loads_or_refuses(body: bytearray, bit: int) -> None:
+    flipped = bytearray(body)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    try:
+        deserialize(bytes(flipped) + struct.pack("<I", zlib.crc32(flipped)))
+    except CheckpointError:
+        pass

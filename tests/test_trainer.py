@@ -5,6 +5,7 @@ import pytest
 
 import swinir.tensor as tensor_mod
 import swinir.train as train_mod
+from swinir.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from swinir.degrade import DegradationSpec, procedural_texture
 from swinir.losses import LossConfig
 from swinir.model import init_params, tiny_config
@@ -156,7 +157,7 @@ class TestTrainLoop:
         train(cfg, half_cfg, toy_dataset(4), [], out_dir=str(tmp_path / "b"))
         res_b = train(cfg, straight_cfg, toy_dataset(4), [],
                       out_dir=str(tmp_path / "b2"),
-                      resume=str(tmp_path / "b" / "train_state.json"))
+                      resume=str(tmp_path / "b" / "last.ckpt"))
 
         for (na, ta), (nb, tb) in zip(res_a.params.named(), res_b.params.named()):
             assert na == nb
@@ -185,20 +186,47 @@ class TestTrainLoop:
 
 class TestTrainStatePersistence:
     def test_roundtrip(self, tmp_path):
+        # a fresh state (best PSNR -inf) and one part way through a run
         params = init_params(tiny_config(), seed=1)
-        state = TrainState.fresh(params, seed=2)
-        state.step = 17
-        state.best_psnr = 31.5
-        path = str(tmp_path / "state.json")
-        save_train_state(params, state, path)
-        params2, state2 = load_train_state(path)
-        assert state2.step == 17
-        assert state2.best_psnr == 31.5
-        assert state2.rng_state == state.rng_state
-        for (n, t), (n2, t2) in zip(params.named(), params2.named()):
-            assert n == n2
-            np.testing.assert_array_equal(t.data, t2.data)
-            np.testing.assert_array_equal(state.m[n], state2.m[n])
+        for step, best_psnr in ((0, -math.inf), (17, 31.5)):
+            state = TrainState.fresh(params, seed=2)
+            rng = np.random.default_rng(step)
+            for n, t in params.named():   # distinct m and v, v >= 0 as in Adam
+                state.m[n][...] = rng.normal(size=t.shape)
+                state.v[n][...] = rng.uniform(size=t.shape)
+            state.step = step
+            state.best_psnr = best_psnr
+            path = str(tmp_path / "last.ckpt")
+            save_train_state(params, state, path)
+            params2, state2 = load_train_state(path)
+            assert state2.step == step
+            assert state2.best_psnr == best_psnr
+            assert state2.rng_state == state.rng_state
+            for (n, t), (n2, t2) in zip(params.named(), params2.named(),
+                                        strict=True):
+                assert n == n2
+                np.testing.assert_array_equal(t.data, t2.data)
+                np.testing.assert_array_equal(state.m[n], state2.m[n])
+                np.testing.assert_array_equal(state.v[n], state2.v[n])
+
+    def test_params_only_checkpoint_has_no_state(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_params(tiny_config(), seed=1), path)
+        with pytest.raises(CheckpointError, match="no resume state"):
+            load_train_state(path)
+
+    def test_validation_writes_only_checkpoints_and_log(self, tmp_path):
+        cfg = toy_sr_config()
+        tcfg = TrainConfig(iterations=4, val_period=2, batch_size=2,
+                           patch_size=8, seed=2)
+        ds = toy_dataset(4)
+        val = make_validation_pairs(ds.hq_images[:1], ds.spec)
+        result = train(cfg, tcfg, ds, val, out_dir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["best.ckpt", "last.ckpt", "metrics.log"]
+        _, state = load_train_state(str(tmp_path / "last.ckpt"))
+        assert state.step == 4 and state.best_psnr == result.best_psnr
+        assert load_checkpoint(str(tmp_path / "best.ckpt")).config == cfg
 
 
 class TestGradcheckHarness:
