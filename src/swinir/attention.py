@@ -27,11 +27,15 @@ def relative_position_index(m: int) -> np.ndarray:
 
     For positions p=(ph,pw), q=(qh,qw):
     index = (ph-qh+m-1)*(2m-1) + (pw-qw+m-1), in [0, (2m-1)^2).
+
+    The index splits into a term of p minus a term of q, so it is one
+    outer difference of two [m^2] int32 vectors, with no temporary as
+    large as the result.
     """
-    coords = np.stack(np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
-    flat = coords.reshape(2, -1)
-    delta = flat[:, :, None] - flat[:, None, :]
-    return (delta[0] + m - 1) * (2 * m - 1) + (delta[1] + m - 1)
+    span = 2 * m - 1
+    rows, cols = np.divmod(np.arange(m * m, dtype=np.int32), np.int32(m))
+    q_term = rows * span + cols
+    return np.subtract.outer(q_term + (m - 1) * (span + 1), q_term)
 
 
 @dataclass

@@ -5,7 +5,8 @@ Layout, all integers little-endian:
     magic           4 bytes  "SWIR"
     version         u32      1: parameters only; 2: with resume state
     config block    13 x i32 (see _CONFIG_FIELDS; mlp_ratio stored as
-                             round(ratio * 1000), enums as indices,
+                             ratio * 1000, which validate() requires to be
+                             whole, enums as indices,
                              booleans as 0/1)
     param count     u32      number of parameter records
     per parameter:
@@ -31,8 +32,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .model import (HEAD_STYLES, TASKS, ModelParams, SwinIRConfig,
-                    build_params, param_count)
+from .model import (HEAD_STYLES, MLP_RATIO_STEPS, TASKS, ModelParams,
+                    SwinIRConfig, build_params, param_count)
 
 MAGIC = b"SWIR"
 VERSION = 1           # parameters only
@@ -50,7 +51,7 @@ class CheckpointError(Exception):
 def _config_ints(cfg: SwinIRConfig) -> list[int]:
     return [TASKS.index(cfg.task), cfg.scale, cfg.in_channels,
             cfg.out_channels, cfg.channels, cfg.rstb_count, cfg.stl_per_rstb,
-            cfg.window, cfg.heads, int(round(cfg.mlp_ratio * 1000)),
+            cfg.window, cfg.heads, round(cfg.mlp_ratio * MLP_RATIO_STEPS),
             HEAD_STYLES.index(cfg.head_style), cfg.head_channels,
             int(cfg.rstb_residual)]
 
@@ -61,7 +62,7 @@ def _config_from_ints(vals: list[int]) -> SwinIRConfig:
             task=TASKS[vals[0]], scale=vals[1], in_channels=vals[2],
             out_channels=vals[3], channels=vals[4], rstb_count=vals[5],
             stl_per_rstb=vals[6], window=vals[7], heads=vals[8],
-            mlp_ratio=vals[9] / 1000.0, head_style=HEAD_STYLES[vals[10]],
+            mlp_ratio=vals[9] / MLP_RATIO_STEPS, head_style=HEAD_STYLES[vals[10]],
             head_channels=vals[11], rstb_residual=bool(vals[12])).validate()
     except (IndexError, ValueError) as exc:
         raise CheckpointError(f"invalid config block: {exc}") from None

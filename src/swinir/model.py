@@ -26,6 +26,8 @@ from .windows import WindowGrid, crop_to, pad_to_multiple
 
 TASKS = ("sr", "denoise", "car")
 HEAD_STYLES = ("staged", "direct")
+# checkpoints store mlp_ratio as a whole number of these steps
+MLP_RATIO_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,9 @@ class SwinIRConfig:
             raise ValueError(f"{self.heads} heads do not divide {self.channels} channels")
         if not 0 <= self.mlp_ratio < math.inf:
             raise ValueError(f"mlp_ratio {self.mlp_ratio} is not finite and >= 0")
+        if round(self.mlp_ratio * MLP_RATIO_STEPS) / MLP_RATIO_STEPS != self.mlp_ratio:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} is not a whole number of "
+                             f"1/{MLP_RATIO_STEPS}ths, which is how checkpoints store it")
         if min(self.rstb_count, self.stl_per_rstb, self.window, self.in_channels,
                self.out_channels, self.head_channels) < 0:
             raise ValueError("negative structural field")

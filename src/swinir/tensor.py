@@ -23,8 +23,8 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 
-# working-set budget of one block in the blocked kernels (layer_norm, gelu,
-# window_attention): small enough that every pass over a block's
+# working-set budget of one block in the blocked kernels (conv2d, layer_norm,
+# gelu, window_attention): small enough that every pass over a block's
 # temporaries hits cache, large enough that per-block overhead stays small
 _BLOCK_BYTES = 512 * 1024
 
@@ -428,14 +428,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     x: [N, Cin, H, W]; weight: [Cout, Cin, k, k]; output [N, Cout, H', W']
     with H' = H + 2*padding - k + 1.
+
+    Blocked im2col (Cho & Brand, "MEC", arXiv 1706.06873): the padded input
+    is viewed as ``flat`` [N, Cin, Hp*Wp], and output position p of an
+    H' x Wp grid reads ``flat[:, :, p + i*Wp + j]`` for tap (i, j), so each
+    tap of a run of positions is one contiguous slice. Per image, the
+    ``span`` = (H'-1)*Wp + W' positions run in blocks (``_blocks``) whose
+    [Cin*kh*kw, L] columns fit ``_BLOCK_BYTES``: one copy from a strided
+    view of the taps fills one reused column buffer, one GEMM writes the
+    block's outputs. The Wp - W' junk columns of each grid row are dropped
+    at the end. The whole column matrix never exists.
+
+    The tape keeps only the padded input. Backward recomputes each block's
+    columns, accumulates dW += g_blk cols^T, and scatter-adds
+    dcols = W^T g_blk back into ``flat``'s gradient as kh*kw slices.
     """
     x = _wrap(x)
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ValueError(f"conv2d: input has {cin} channels, weight expects {cin_w}")
-    hout = h + 2 * padding - kh + 1
-    wout = w + 2 * padding - kw + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    hout, wout = hp - kh + 1, wp - kw + 1
     if hout <= 0 or wout <= 0:
         raise ValueError(f"conv2d: non-positive output size {hout}x{wout}")
 
@@ -443,32 +457,64 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    # [N, Cin, H', W', kh, kw] -> [N*H'*W', Cin*kh*kw]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * hout * wout, cin * kh * kw)
-    wmat = weight.data.reshape(cout, -1)
-    out = cols @ wmat.T
-    if bias is not None:
-        out = out + bias.data
-    out = out.reshape(n, hout, wout, cout).transpose(0, 3, 1, 2)
+    flat = xp.reshape(n, cin, hp * wp)
+    span = (hout - 1) * wp + wout
+    kk = cin * kh * kw
+    # read-only view, taps[n, c, i, j, p] = flat[n, c, p + i*Wp + j]; the
+    # last tap of the last position is the last element of a channel plane
+    es = xp.itemsize
+    taps = np.lib.stride_tricks.as_strided(
+        flat, shape=(n, cin, kh, kw, span),
+        strides=flat.strides[:2] + (wp * es, es, es), writeable=False)
+    blocks = _blocks(span, kk * es)
+    buf = np.empty(kk * blocks[0].stop, dtype=xp.dtype)
+
+    def columns(img, pos):
+        """Block ``pos`` of image ``img``'s column matrix, [Cin*kh*kw, L]
+        in (cin, i, j) order, in ``buf``: one copy that walks the input
+        channel by channel, so each channel's rows stay in cache for all
+        of its taps."""
+        cols = buf[:kk * (pos.stop - pos.start)].reshape(cin, kh, kw, -1)
+        cols[...] = taps[img, ..., pos]
+        return cols.reshape(kk, -1)
+
+    wmat = weight.data.reshape(cout, kk)
+    # positions past span (the last grid row's junk tail) are never written
+    grid = np.empty((n, cout, hout * wp), dtype=np.result_type(xp, wmat))
+    for img in range(n):
+        for pos in blocks:
+            ob = grid[img, :, pos]
+            np.matmul(wmat, columns(img, pos), out=ob)
+            if bias is not None:
+                ob += bias.data[:, None]
+    out = grid.reshape(n, cout, hout, wp)[:, :, :, :wout]
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        weight._accumulate((g2.T @ cols).reshape(weight.shape))
+        ggrid = np.zeros((n, cout, hout * wp), dtype=g.dtype)
+        ggrid.reshape(n, cout, hout, wp)[:, :, :, :wout] = g
+        dw = np.zeros_like(wmat)
+        dflat = np.zeros_like(flat, dtype=g.dtype)
+        dbuf = np.empty_like(buf, dtype=g.dtype)
+        for img in range(n):
+            for pos in blocks:
+                length = pos.stop - pos.start
+                gb = ggrid[img, :, pos]
+                dw += gb @ columns(img, pos).T
+                db = dbuf[:kk * length].reshape(kk, length)
+                np.matmul(wmat.T, gb, out=db)
+                db = db.reshape(cin, kh, kw, length)
+                for i in range(kh):
+                    for j in range(kw):
+                        at = pos.start + i * wp + j
+                        dflat[img, :, at:at + length] += db[:, i, j]
+        weight._accumulate(dw.reshape(weight.shape))
         if bias is not None:
-            bias._accumulate(g2.sum(axis=0))
-        dcols = (g2 @ wmat).reshape(n, hout, wout, cin, kh, kw)
-        dxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + hout, j:j + wout] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        if padding:
-            dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-        x._accumulate(dxp)
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        dxp = dflat.reshape(n, cin, hp, wp)
+        x._accumulate(dxp[:, :, padding:padding + h, padding:padding + w])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(np.ascontiguousarray(out), parents, backward)
+    return _make(out, parents, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

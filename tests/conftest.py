@@ -7,10 +7,10 @@ from swinir.tensor import Tensor
 
 def block_budgets(monkeypatch):
     """Run a loop body under two block budgets of the blocked tensor kernels
-    (layer_norm, gelu, window_attention): the default, in which test inputs
-    fit one block, then one byte, which gives every row (token, element or
-    window) a block of its own and so splits windows mid-image and
-    mid-mask."""
+    (conv2d, layer_norm, gelu, window_attention): the default, in which test
+    inputs fit one block, then one byte, which gives every row (output
+    position, token, element or window) a block of its own and so splits
+    windows mid-image and mid-mask."""
     yield tensor_mod._BLOCK_BYTES
     monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 1)
     yield 1

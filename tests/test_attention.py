@@ -37,6 +37,29 @@ class TestRelativePositionIndex:
         di, dj = idx // span - (m - 1), idx % span - (m - 1)
         assert np.all(di == -di.T) and np.all(dj == -dj.T)
 
+    @staticmethod
+    def coordinate_formula(m):
+        coords = np.stack(np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+        flat = coords.reshape(2, -1)
+        delta = flat[:, :, None] - flat[:, None, :]
+        return (delta[0] + m - 1) * (2 * m - 1) + (delta[1] + m - 1)
+
+    def test_matches_coordinate_formula(self):
+        for m in range(1, 10):
+            np.testing.assert_array_equal(relative_position_index(m),
+                                          self.coordinate_formula(m))
+
+    def test_peak_memory_near_result(self):
+        # a checkpoint's window sets m, and the loader builds the index
+        # before it checks any record, so no temporary may dwarf the result
+        tracemalloc.start()
+        try:
+            idx = relative_position_index(30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * idx.nbytes
+
 
 class TestWindowMsa:
     def test_uniform_attention_returns_column_mean(self, rng):

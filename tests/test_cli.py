@@ -65,6 +65,12 @@ class TestParsing:
         assert rc == 2
         assert "channels" in capsys.readouterr().err
 
+    def test_mlp_ratio_checkpoints_cannot_hold_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", channels=60, heads=6, mlp_ratio=1.4415)
+        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
+        assert rc == 2
+        assert "mlp_ratio" in capsys.readouterr().err
+
     def test_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", mlp_ratio=1.4, head_style="direct")
         values = parse_config_file(str(cfg))

@@ -12,8 +12,9 @@ from conftest import check_gradients
 from swinir import checkpoint
 from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
                                load_checkpoint, save_checkpoint, serialize)
-from swinir.model import (ModelParams, SwinIRConfig, classical_sr_config,
-                          count_mult_adds, deep_extract, forward, init_params,
+from swinir.model import (ModelParams, SwinIRConfig, car_config,
+                          classical_sr_config, count_mult_adds, deep_extract,
+                          denoise_config, forward, init_params,
                           lightweight_sr_config, param_count,
                           reconstruct_residual, reconstruct_sr, rstb_forward,
                           shallow_extract, tiny_config)
@@ -287,6 +288,21 @@ class TestAccounting:
             with pytest.raises(ValueError):
                 SwinIRConfig(**bad).validate()
 
+    def test_mlp_ratio_beyond_thousandths_rejected(self):
+        # checkpoints store the ratio in thousandths: 1.4415 would save fc1
+        # [60, 86] under a ratio that loads as 1.442, i.e. [60, 87]
+        for ratio in (1.4415, 1.4142):
+            with pytest.raises(ValueError, match="mlp_ratio"):
+                SwinIRConfig(channels=60, heads=6, mlp_ratio=ratio).validate()
+
+    def test_presets_validate(self):
+        presets = [tiny_config(), denoise_config(1), denoise_config(3),
+                   car_config(1), car_config(3)]
+        for scale in (2, 3, 4):
+            presets += [classical_sr_config(scale), lightweight_sr_config(scale)]
+        for cfg in presets:
+            assert cfg.validate() is cfg
+
     def test_count_matches_built_params(self):
         for cfg in (tiny_config(), tiny_config(task="sr", scale=3, channels=16,
                                                heads=4, stl_per_rstb=3)):
@@ -315,6 +331,16 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         after = forward(loaded, x).data
         np.testing.assert_array_equal(before, after)
+
+    def test_mlp_ratio_thousandths_roundtrip(self):
+        cfg = SwinIRConfig(task="denoise", scale=1, in_channels=1, out_channels=1,
+                           channels=60, rstb_count=1, stl_per_rstb=1, window=4,
+                           heads=6, mlp_ratio=1.442).validate()
+        params = init_params(cfg, seed=0)
+        loaded, _ = deserialize(serialize(params))
+        assert loaded.config == cfg
+        for (name, a), (_, b) in zip(params.named(), loaded.named(), strict=True):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
     def test_serialization_deterministic(self):
         params = init_params(tiny_config(), seed=3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,76 @@ class TestConv2d:
         w[1, 1, 1, 1] = 1.0
         out = conv2d(x, Tensor(w), padding=1)
         np.testing.assert_array_equal(out.data, x.data)
+
+    @staticmethod
+    def loop_oracle(x, w, b, padding, g):
+        """Direct loops over every output position and tap: the output of
+        conv2d(x, w, b, padding) and the gradients of sum(out * g)."""
+        n, cin, h, wd = x.shape
+        cout, _, k, _ = w.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        hout, wout = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+        out = np.zeros((n, cout, hout, wout))
+        dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+        for img in range(n):
+            for co in range(cout):
+                for yy in range(hout):
+                    for xx in range(wout):
+                        patch = xp[img, :, yy:yy + k, xx:xx + k]
+                        out[img, co, yy, xx] = (patch * w[co]).sum() + b[co]
+                        gv = g[img, co, yy, xx]
+                        dw[co] += gv * patch
+                        dxp[img, :, yy:yy + k, xx:xx + k] += gv * w[co]
+        dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+        return out, [dx, dw, g.sum(axis=(0, 2, 3))]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_loop_oracle_under_block_budgets(self, rng, monkeypatch, k, padding):
+        # small integers: every sum is exact in float64 whatever the order,
+        # so any slip in the blocks' offsets or the junk columns shows as an
+        # exact mismatch
+        x = rng.integers(-3, 4, size=(2, 3, 5, 7)).astype(np.float64)
+        w = rng.integers(-3, 4, size=(4, 3, k, k)).astype(np.float64)
+        b = rng.integers(-3, 4, size=(4,)).astype(np.float64)
+        hout, wout = 5 + 2 * padding - k + 1, 7 + 2 * padding - k + 1
+        g = rng.integers(-3, 4, size=(2, 4, hout, wout)).astype(np.float64)
+        out_ref, grads_ref = self.loop_oracle(x, w, b, padding, g)
+
+        def loss(xx, ww, bb):
+            return sum_(conv2d(xx, ww, bb, padding=padding) * Tensor(g))
+
+        runs = []
+        for _ in block_budgets(monkeypatch):
+            out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+            grads = tape_gradients(loss, [x, w, b])
+            np.testing.assert_array_equal(out, out_ref)
+            for got, want in zip(grads, grads_ref, strict=True):
+                np.testing.assert_array_equal(got, want)
+            runs.append([out] + grads)
+        assert_all_equal(runs)
+
+    def test_gradients_one_position_per_block(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        x = rng.uniform(size=(2, 2, 4, 5))
+        w = rng.normal(size=(3, 2, 3, 3)) * 0.5
+        b = rng.normal(size=(3,)) * 0.1
+        check_gradients(lambda xx, ww, bb: sum_(conv2d(xx, ww, bb, padding=1) ** 2),
+                        [x, w, b])
+
+    def test_inference_memory_below_column_matrix(self, rng):
+        x = Tensor(rng.normal(size=(1, 60, 128, 128)).astype(np.float32))
+        w = Tensor(rng.normal(size=(60, 60, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(60, dtype=np.float32))
+        whole_columns = 128 * 128 * 60 * 9 * 4
+        tracemalloc.start()
+        try:
+            with no_grad():
+                conv2d(x, w, b, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_columns
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channels"):
