@@ -28,6 +28,10 @@ TASKS = ("sr", "denoise", "car")
 HEAD_STYLES = ("staged", "direct")
 # checkpoints store mlp_ratio as a whole number of these steps
 MLP_RATIO_STEPS = 1000
+# largest window side: a model builds a window^4 relative-position index
+# (4 MB at 32, 400 MB at 100) before a loader can check a file's records;
+# the paper's configurations use 7 and 8
+MAX_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,10 @@ class SwinIRConfig:
         if min(self.rstb_count, self.stl_per_rstb, self.window, self.in_channels,
                self.out_channels, self.head_channels) < 0:
             raise ValueError("negative structural field")
+        if self.rstb_count * self.stl_per_rstb and self.window < 1:
+            raise ValueError(f"window {self.window} must be >= 1 in a model with layers")
+        if self.window > MAX_WINDOW:
+            raise ValueError(f"window {self.window} exceeds the maximum of {MAX_WINDOW}")
         return self
 
     @property

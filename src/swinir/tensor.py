@@ -466,7 +466,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     taps = np.lib.stride_tricks.as_strided(
         flat, shape=(n, cin, kh, kw, span),
         strides=flat.strides[:2] + (wp * es, es, es), writeable=False)
-    blocks = _blocks(span, kk * es)
+    # a floor of _BLOCK_BYTES // 256 bytes per position (256 positions at
+    # the default budget) keeps wide inputs (Cin = 180: 80 positions in a
+    # plain budget) from running many small GEMMs
+    blocks = _blocks(span, min(kk * es, _BLOCK_BYTES // 256))
     buf = np.empty(kk * blocks[0].stop, dtype=xp.dtype)
 
     def columns(img, pos):
@@ -522,8 +525,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     and shift. Population (biased) variance.
 
     Runs over blocks of rows (``_blocks``), every pass over a block while it
-    is in cache. The taped path keeps the normalized rows for backward;
-    without a tape they are formed in the output buffer."""
+    is in cache. The row mean and the row sum of squares are einsum
+    contractions, which need no squared temporary and beat numpy's slow
+    reductions over short rows. They are not BLAS products (x @ ones):
+    BLAS was faster still, but its row sums changed with the number of
+    rows in a block, so the output would depend on the block budget. The
+    taped path keeps the normalized rows for backward; without a tape they
+    are formed in the output buffer."""
     x = _wrap(x)
     c = x.shape[-1]
     if c == 0:
@@ -532,10 +540,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = np.empty_like(x2)
     xhat = np.empty_like(x2) if _taped((x, gamma, beta)) else out
     inv = np.empty((len(x2), 1), dtype=x2.dtype)
+    weights = np.full(c, 1.0 / c, dtype=x2.dtype)
     for rows in _blocks(len(x2), 3 * c * x2.itemsize):
         xb, hb, ib = x2[rows], xhat[rows], inv[rows]
-        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
-        np.mean(hb * hb, axis=-1, keepdims=True, out=ib)
+        np.subtract(xb, np.einsum("ij,j->i", xb, weights)[:, None], out=hb)
+        np.einsum("ij,ij->i", hb, hb, out=ib[:, 0])
+        ib *= 1.0 / c
         ib += eps
         np.sqrt(ib, out=ib)
         np.divide(1.0, ib, out=ib)
@@ -561,23 +571,82 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# float32 erf(x) = x P(x^2) / Q(x^2) on |x| <= 4 (Eigen's and XLA's fast
+# erf); P and Q coefficients from the constant term up
+_ERF_P = (-1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
+          -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
+          -2.72614225801306e-10)
+_ERF_Q = (-1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
+          -2.13374055278905e-04, -1.45660718464996e-05)
+# |x| beyond which float32 rounding in the rational (up to 4.5e-7 near
+# |x| = 3.9, where GELU scales it by |x| / sqrt(2)) would cost GELU more
+# than 1e-6; those elements take the rational in float64 (6.5e-8)
+_ERF_FLOAT64_FROM = 2.5
+
+
+def _horner(coeffs, t: np.ndarray) -> np.ndarray:
+    acc = t * coeffs[-1]
+    for a in coeffs[-2:0:-1]:
+        acc += a
+        acc *= t
+    acc += coeffs[0]
+    return acc
+
+
+def _erf_rational(c: np.ndarray, c2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    p = _horner(_ERF_P, c2)
+    p *= c
+    return np.divide(p, _horner(_ERF_Q, c2), out=out)
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf(x) into ``out`` (which may be ``x``); both C-contiguous.
+
+    float64 takes scipy's erf. float32 takes the rational x P(x^2) / Q(x^2)
+    on clip(x, -4, 4) (erf(4) is 1 in float32), 2-3x faster than scipy's
+    float32 erf on N(0, 1) inputs; elements beyond ``_ERF_FLOAT64_FROM``
+    evaluate the rational in float64. Within 3e-7 of float64 erf. A block
+    with no such element, the common case, needs neither the clip nor the
+    lookup."""
+    if x.dtype != np.float32:
+        return erf(x, out=out)
+    x2 = x * x
+    if x2.max(initial=0.0) <= _ERF_FLOAT64_FROM ** 2:
+        return _erf_rational(x, x2, out)
+    c = np.clip(x, -4.0, 4.0, out=out)
+    np.multiply(c, c, out=x2)
+    far = np.flatnonzero(x2 > _ERF_FLOAT64_FROM ** 2)
+    cf = c.reshape(-1)[far].astype(np.float64)
+    _erf_rational(c, x2, out)
+    out.reshape(-1)[far] = _erf_rational(cf, cf * cf, cf)
+    return out
+
 
 def _gelu_grad(xd: np.ndarray) -> np.ndarray:
     # d/dx [x * Phi(x)] = Phi(x) + x * phi(x)
     phi = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    cdf = xd * _INV_SQRT2
+    _erf(cdf, cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return cdf + xd * phi
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact error-function GELU, x * Phi(x), over blocks of elements."""
+    """Exact error-function GELU, x * Phi(x) = x (1 + erf(x / sqrt 2)) / 2,
+    over blocks of elements.
+
+    float32 takes erf from ``_erf``'s rational approximation, within 3e-7
+    of float64 erf, so that float32 GELU and its derivative stay within
+    1e-6 of their float64 values on [-10, 10]. float64 keeps scipy's erf,
+    so gradient checks keep float64 accuracy."""
     x = _wrap(x)
     flat = x.data.reshape(-1)
     out = np.empty_like(flat)
-    for part in _blocks(flat.size, 2 * flat.itemsize):
+    for part in _blocks(flat.size, 5 * flat.itemsize):
         xb, ob = flat[part], out[part]
         np.multiply(xb, _INV_SQRT2, out=ob)
-        erf(ob, out=ob)
+        _erf(ob, ob)
         ob += 1.0
         ob *= 0.5
         ob *= xb
@@ -602,6 +671,14 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
+# |logit| below which exp neither overflows nor goes subnormal in float32
+_EXP_SAFE = 60.0
+
+
+def _abs_max(a: np.ndarray) -> float:
+    return max(float(a.max()), -float(a.min()))
+
+
 def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     """Fused multi-head attention core over [nW, m^2, 3C] windows.
 
@@ -613,14 +690,25 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
 
     Windows run in blocks (``_blocks``) sized so that a block's scores,
     [windows, heads, key, query], stay in cache from Q K^T to the output.
-    Scores are key-major, so the softmax max runs over axis -2, which
-    numpy vectorizes across the contiguous query axis. Bias, the mask's
-    -inf entries (only on the block's masked windows), the max and exp
-    update one buffer in place into E = exp(S - max). E is never
-    normalized: its column sums come from one product, ones[1, key] @ E,
-    and the [query, d] output E^T V is scaled by their reciprocals r.
-    Without a tape the blocks share one block-sized score buffer; the
-    taped path keeps all of E and r.
+    Bias and the mask's -inf entries (added window by window, only on the
+    block's masked windows) update one buffer in place, which exp turns
+    into E. E is never normalized: its column sums come from one product,
+    ones[1, key] @ E, and the output is scaled by their reciprocals r.
+
+    Softmax does not change when a column of logits is shifted
+    (Milakov & Gimelshein, arXiv 1805.02867), so E needs no column max
+    while exp cannot overflow or go subnormal. Once per call, over all of
+    ``qkv`` and ``bias``, bound = d max|Q| max|K| + max|B| bounds every
+    |logit|; below ``_EXP_SAFE`` = 60, E = exp(S). Otherwise E = exp(S -
+    max) with the exact column max over keys (axis -2, which numpy
+    vectorizes across the contiguous query axis). The bound is per call,
+    not per block, so the block size never changes the arithmetic.
+
+    The output product runs transposed: V^T E into one reused [windows,
+    heads, d, query] buffer, scaled by r along its contiguous query axis,
+    then copied into the [query, d] head slices of the output. Without a
+    tape the blocks share one block-sized score buffer; the taped path
+    keeps all of E and r.
 
     Backward, with A = E r and gs = r g, the gradient g scaled per query:
     dV = E gs, and the softmax rule dS = A (dA - D) with dA = V g^T and
@@ -647,24 +735,27 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     blocks = _blocks(nw, heads * mm * mm * dtype.itemsize)
     e = np.empty((nw if taped else blocks[0].stop, heads, mm, mm), dtype=dtype)
     r = np.empty((nw, heads, 1, mm), dtype=dtype)
+    vte = np.empty((blocks[0].stop, heads, d, mm), dtype=dtype)
     ones = np.ones((1, mm), dtype=dtype)
+    bounded = d * _abs_max(q) * _abs_max(k) + _abs_max(bias.data) < _EXP_SAFE
     for wins in blocks:
         s = e[wins] if taped else e[:wins.stop - wins.start]
         np.matmul(k[wins], q[wins].swapaxes(-1, -2), out=s)
         s += bias.data
         if mask is not None:
             slots = mask.slots[np.arange(wins.start, wins.stop) % mask.shape[0]]
-            hit = slots >= 0
-            if hit.any():
-                s[hit] += mask.blocks[slots[hit]]
-        s -= s.max(axis=-2, keepdims=True)
+            for i in np.flatnonzero(slots >= 0):
+                s[i] += mask.blocks[slots[i]]
+        if not bounded:
+            s -= np.max(s, axis=-2, keepdims=True)
         np.exp(s, out=s)
         rb = r[wins]
         np.matmul(ones, s, out=rb)
         np.divide(1.0, rb, out=rb)
-        ob = out_h[wins]
-        np.matmul(s.swapaxes(-1, -2), v[wins], out=ob)
-        ob *= rb.swapaxes(-1, -2)
+        ob = vte[:wins.stop - wins.start]
+        np.matmul(v[wins].swapaxes(-1, -2), s, out=ob)
+        ob *= rb
+        out_h[wins] = ob.swapaxes(-1, -2)
 
     def backward(g):
         gs = heads_view(g) * r.swapaxes(-1, -2)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,94 @@ class TestWindowMsa:
         params.heads = 3
         with pytest.raises(ValueError, match="heads"):
             window_msa(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), params)
+
+
+class TestLogitBound:
+    """The core skips the softmax column max when d max|Q| max|K| + max|B|
+    is below 60, and keeps the exact max otherwise. Cases: small logits;
+    logits near +-200 (Q K^T large, bias +-100); bias +-100 alone."""
+
+    CASES = [(False, False), (True, True), (False, True)]   # (big Q K^T, big bias)
+
+    @staticmethod
+    def count_column_max(monkeypatch):
+        """Record every np.max over axis -2, the fallback's column max."""
+        calls = []
+        real = np.max
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("axis") == -2:
+                calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "max", spy)
+        return calls
+
+    @staticmethod
+    def diagonal_only_mask(m):
+        # shift 1 on 6x6 at window 2: in the last window every token is
+        # its own region, so each query column keeps only its diagonal key
+        mask = build_attn_mask(6, 6, m, 1)
+        np.testing.assert_array_equal((np.asarray(mask)[-1] == 0), np.eye(m * m))
+        return mask
+
+    @pytest.mark.parametrize("big_qk, big_bias", CASES)
+    def test_matches_dense_oracle(self, rng, monkeypatch, big_qk, big_bias):
+        c, heads, m = 6, 3, 2
+        params = make_attn_params(c, heads, m, rng=rng)
+        mask = self.diagonal_only_mask(m)
+        x = rng.normal(size=(2 * len(mask), m * m, c))
+        if big_qk:
+            params.wq, params.wk = (Tensor(6.0 * rng.normal(size=(c, c))) for _ in range(2))
+        if big_bias:
+            params.bias_table = Tensor(
+                100.0 * rng.choice([-1.0, 1.0], size=((2 * m - 1) ** 2, heads)))
+        q, k = (np.einsum("wic,cj->wij", x, w.data).reshape(-1, m * m, heads, c // heads)
+                for w in (params.wq, params.wk))
+        qk = np.einsum("wihd,wjhd->whij", q, k) / np.sqrt(c // heads)
+        assert (np.abs(qk).max() > 150) == big_qk
+        # the core masks with -inf; MASK_VALUE (-100) would not outweigh
+        # logits near +-200, so the oracle gets -inf too
+        oracle_mask = np.where(np.asarray(mask) != 0, -np.inf, 0.0)
+        calls = self.count_column_max(monkeypatch)
+        runs = []
+        for _ in block_budgets(monkeypatch):
+            run = []
+            for dtype in (np.float32, np.float64):
+                typed = replace(params, **{
+                    name: Tensor(getattr(params, name).data.astype(dtype))
+                    for name in ("wq", "bq", "wk", "bk", "wv", "bv",
+                                 "proj_w", "proj_b", "bias_table")})
+                for mk, omk in ((None, None), (mask, oracle_mask)):
+                    out = window_msa(Tensor(x.astype(dtype)), typed, mk).data
+                    assert np.isfinite(out).all()
+                    # float32 rounding of logits near +-200 reorders near
+                    # ties, so only float64 is held to the oracle there
+                    if dtype == np.float64 or not big_qk:
+                        np.testing.assert_allclose(
+                            out, dense_attention_oracle(x, typed, omk), atol=1e-5)
+                    run.append(out)
+            runs.append(run)
+        assert_all_equal(runs)
+        assert bool(calls) == (big_qk or big_bias)
+
+    @pytest.mark.parametrize("big_qk, big_bias", CASES)
+    def test_gradcheck_float64(self, rng, monkeypatch, big_qk, big_bias):
+        heads, d, m = 2, 2, 2
+        mask = self.diagonal_only_mask(m)
+        qkv = rng.uniform(-1.0, 1.0, size=(2 * len(mask), m * m, 3 * heads * d))
+        bias = 0.1 * rng.normal(size=(heads, m * m, m * m))
+        if big_qk:
+            qkv[..., :2 * heads * d] *= 10.0
+        if big_bias:
+            bias = 100.0 * rng.choice([-1.0, 1.0], size=bias.shape)
+        calls = self.count_column_max(monkeypatch)
+
+        def fn(t, b):
+            return sum_(window_attention(t, b, mask) ** 2.0)
+
+        check_gradients(fn, [qkv, bias])
+        assert bool(calls) == (big_qk or big_bias)
 
 
 class TestMlp:

@@ -2,6 +2,7 @@ import math
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from conftest import check_gradients
 from swinir import checkpoint
 from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
                                load_checkpoint, save_checkpoint, serialize)
-from swinir.model import (ModelParams, SwinIRConfig, car_config,
+from swinir.model import (MAX_WINDOW, ModelParams, SwinIRConfig, car_config,
                           classical_sr_config, count_mult_adds, deep_extract,
                           denoise_config, forward, init_params,
                           lightweight_sr_config, param_count,
                           reconstruct_residual, reconstruct_sr, rstb_forward,
                           shallow_extract, tiny_config)
-from swinir.tensor import Tensor, sum_
+from swinir.tensor import Tensor, no_grad, sum_
 from swinir.train import TrainState
 
 
@@ -263,6 +264,25 @@ class TestForward:
         np.testing.assert_allclose(unrolled[sl], base[sl], atol=1e-4)
 
 
+class TestFloat32Kernels:
+    @pytest.mark.parametrize("cfg, side", [(lightweight_sr_config(2, 3), 12),
+                                           (car_config(1), 21)])
+    def test_float32_forward_within_gate_of_float64(self, rng, cfg, side):
+        # the benchmark gate's tolerance, 2e-4 on the [0, 1] scale, on the
+        # float32 kernels (rational erf, unshifted softmax, einsum norms);
+        # 12^2 pads to the lightweight window 8, and both shifted passes
+        # run the mask
+        params = init_params(cfg, seed=3, dtype=np.float64)
+        x = rng.uniform(size=(1, cfg.in_channels, side, side))
+        with no_grad():
+            want = forward(params, Tensor(x)).data
+            for t in params.tensors():
+                t.data = t.data.astype(np.float32)
+            got = forward(params, Tensor(x.astype(np.float32))).data
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 2e-4
+
+
 class TestAccounting:
     def test_classical_anchor(self):
         count = param_count(classical_sr_config(4))
@@ -294,6 +314,16 @@ class TestAccounting:
         for ratio in (1.4415, 1.4142):
             with pytest.raises(ValueError, match="mlp_ratio"):
                 SwinIRConfig(channels=60, heads=6, mlp_ratio=ratio).validate()
+
+    def test_window_bounds(self):
+        # window 0 used to validate and fail only in forward; a window past
+        # MAX_WINDOW makes a model build a window^4 relative-position index
+        for bad in (dict(window=0), dict(window=MAX_WINDOW + 1),
+                    dict(window=60, rstb_count=0)):
+            with pytest.raises(ValueError, match="window"):
+                SwinIRConfig(**bad).validate()
+        for good in (dict(window=0, rstb_count=0), dict(window=MAX_WINDOW)):
+            SwinIRConfig(**good).validate()
 
     def test_presets_validate(self):
         presets = [tiny_config(), denoise_config(1), denoise_config(3),
@@ -434,6 +464,25 @@ class TestCheckpoint:
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="asks for 106517194392"):
+                deserialize(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob) * 4
+
+    def test_huge_window_refused_before_allocation(self):
+        # a CRC-valid file whose window 60 asks for a 4 * 60^4-byte (52 MB)
+        # relative-position index; its bias table fits in the file
+        cfg = tiny_config(channels=1, heads=1)
+        params = init_params(cfg, seed=0)
+        params.config = replace(cfg, window=60)
+        params.rstbs[0].stls[0].attn.bias_table = Tensor(
+            np.zeros((119 ** 2, 1), dtype=np.float32))
+        blob = serialize(params)
+        assert len(blob) == 57821
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="window 60"):
                 deserialize(blob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
                       max_rel_err, tape_gradients)
@@ -103,6 +104,23 @@ class TestConv2d:
         b = rng.normal(size=(3,)) * 0.1
         check_gradients(lambda xx, ww, bb: sum_(conv2d(xx, ww, bb, padding=1) ** 2),
                         [x, w, b])
+
+    def test_wide_input_blocks_hold_256_positions(self, rng, monkeypatch):
+        # Cin = 180 takes 6,480 bytes of columns per position, 80 positions
+        # in a plain 512 KiB block; the floor gives 256, and the one-byte
+        # budget still gives every position a block of its own
+        seen = []
+        real = T._blocks
+        monkeypatch.setattr(T, "_blocks", lambda *a: seen.append(real(*a)) or seen[-1])
+        x = Tensor(rng.normal(size=(1, 180, 20, 20)).astype(np.float32))
+        w = Tensor(rng.normal(size=(2, 180, 3, 3)).astype(np.float32))
+        span = 19 * 22 + 20
+        lengths = []
+        for _ in block_budgets(monkeypatch):
+            seen.clear()
+            conv2d(x, w, padding=1)
+            lengths.append(sorted({pos.stop - pos.start for pos in seen[0]}))
+        assert lengths == [[span - 256, 256], [1]]
 
     def test_inference_memory_below_column_matrix(self, rng):
         x = Tensor(rng.normal(size=(1, 60, 128, 128)).astype(np.float32))
@@ -207,6 +225,39 @@ class TestGelu:
             runs.append([gelu(Tensor(x)).data]
                         + tape_gradients(lambda a: sum_(gelu(a)), [x]))
         assert_all_equal(runs)
+
+
+class TestErf:
+    """float32 erf is a rational approximation (``T._erf``); float64 keeps
+    scipy's erf. These tie the two together."""
+
+    grid = np.linspace(-10.0, 10.0, 400001, dtype=np.float32)
+
+    def test_float32_erf_near_float64(self):
+        got = T._erf(self.grid, np.empty_like(self.grid))
+        assert np.abs(got - erf(self.grid.astype(np.float64))).max() <= 5e-7
+
+    def test_float32_gelu_and_derivative_near_float64(self):
+        wide = self.grid.astype(np.float64)
+        assert np.abs(gelu(Tensor(self.grid)).data - gelu(Tensor(wide)).data).max() <= 1e-6
+        assert np.abs(T._gelu_grad(self.grid) - T._gelu_grad(wide)).max() <= 1e-6
+
+    def test_non_finite_inputs_map_as_with_scipy_erf(self):
+        x = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            cdf = 0.5 * (1.0 + erf(x * T._INV_SQRT2))
+            phi = np.exp(-0.5 * x * x) * T._INV_SQRT2PI
+            np.testing.assert_array_equal(T._erf(x, np.empty_like(x)), erf(x))
+            np.testing.assert_array_equal(gelu(Tensor(x)).data, x * cdf)
+            np.testing.assert_array_equal(T._gelu_grad(x), cdf + x * phi)
+
+    def test_float64_is_scipy_formula_bit_for_bit(self, rng):
+        # x * (1/sqrt(2)), the product the float64 GELU has always taken
+        x = np.concatenate([3.0 * rng.normal(size=5000), self.grid.astype(np.float64)])
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        phi = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        np.testing.assert_array_equal(gelu(Tensor(x)).data, x * cdf)
+        np.testing.assert_array_equal(T._gelu_grad(x), cdf + x * phi)
 
 
 class TestSoftmax:
