@@ -571,17 +571,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# float32 erf(x) = x P(x^2) / Q(x^2) on |x| <= 4 (Eigen's and XLA's fast
-# erf); P and Q coefficients from the constant term up
-_ERF_P = (-1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
-          -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
-          -2.72614225801306e-10)
-_ERF_Q = (-1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
-          -2.13374055278905e-04, -1.45660718464996e-05)
-# |x| beyond which float32 rounding in the rational (up to 4.5e-7 near
-# |x| = 3.9, where GELU scales it by |x| / sqrt(2)) would cost GELU more
-# than 1e-6; those elements take the rational in float64 (6.5e-8)
-_ERF_FLOAT64_FROM = 2.5
+# erf(x) = x P(t) / Q(t), t = x^2, on |x| <= 2.5, coefficients from t^0 up:
+# a Lawson-weighted least-squares fit for relative error (1.1e-9 in
+# float64), scaled so that P(0) and Q(0) are the integers 328663 and
+# 291270. float32 holds both exactly and their ratio is 2/sqrt(pi) to
+# 3e-13; with 2/sqrt(pi) itself rounded to float32, every small result
+# would be scaled by 1 + 5.2e-8, a bias that deep models add up.
+_ERF_P = tuple(328663.0 * a for a in (
+    1.0, 0.1416797759294483, 0.03942011854654085, 0.0018236401948967154,
+    8.620177875240694e-05, -1.0858596691901203e-06))
+_ERF_Q = tuple(291270.0 * b for b in (
+    1.0, 0.47501307769990936, 0.09775809752899423, 0.010716985919442704,
+    0.000564358600403467))
+_ERF_RATIONAL_TO = 2.5
 
 
 def _horner(coeffs, t: np.ndarray) -> np.ndarray:
@@ -593,32 +595,30 @@ def _horner(coeffs, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _erf_rational(c: np.ndarray, c2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    p = _horner(_ERF_P, c2)
+def _erf_rational(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c P(c^2) / Q(c^2) into ``out`` (which may be ``c``)."""
+    t = c * c
+    p = _horner(_ERF_P, t)
     p *= c
-    return np.divide(p, _horner(_ERF_Q, c2), out=out)
+    return np.divide(p, _horner(_ERF_Q, t), out=out)
 
 
 def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """erf(x) into ``out`` (which may be ``x``); both C-contiguous.
+    """erf(x) into ``out`` (which may be ``x``), any layout.
 
-    float64 takes scipy's erf. float32 takes the rational x P(x^2) / Q(x^2)
-    on clip(x, -4, 4) (erf(4) is 1 in float32), 2-3x faster than scipy's
-    float32 erf on N(0, 1) inputs; elements beyond ``_ERF_FLOAT64_FROM``
-    evaluate the rational in float64. Within 3e-7 of float64 erf. A block
-    with no such element, the common case, needs neither the clip nor the
-    lookup."""
+    float64 takes scipy's erf. float32 takes the rational ``_erf_rational``
+    on clip(x, -2.5, 2.5), 2-3x faster than scipy's float32 erf on N(0, 1)
+    inputs, and scipy's float64 erf for the few elements beyond 2.5 (also
+    +-inf; NaN stays NaN). Within 3.1e-7 of float64 erf on [-10, 10], all
+    of it float32 rounding, and unbiased near 0, where GELU's inputs sit
+    and where a rational fitted for absolute error runs low."""
     if x.dtype != np.float32:
         return erf(x, out=out)
-    x2 = x * x
-    if x2.max(initial=0.0) <= _ERF_FLOAT64_FROM ** 2:
-        return _erf_rational(x, x2, out)
-    c = np.clip(x, -4.0, 4.0, out=out)
-    np.multiply(c, c, out=x2)
-    far = np.flatnonzero(x2 > _ERF_FLOAT64_FROM ** 2)
-    cf = c.reshape(-1)[far].astype(np.float64)
-    _erf_rational(c, x2, out)
-    out.reshape(-1)[far] = _erf_rational(cf, cf * cf, cf)
+    far = np.abs(x) > _ERF_RATIONAL_TO
+    xf = x[far].astype(np.float64)
+    c = np.clip(x, -_ERF_RATIONAL_TO, _ERF_RATIONAL_TO, out=out)
+    _erf_rational(c, out)
+    out[far] = erf(xf)
     return out
 
 
@@ -636,7 +636,7 @@ def gelu(x: Tensor) -> Tensor:
     """Exact error-function GELU, x * Phi(x) = x (1 + erf(x / sqrt 2)) / 2,
     over blocks of elements.
 
-    float32 takes erf from ``_erf``'s rational approximation, within 3e-7
+    float32 takes erf from ``_erf``'s rational approximation, within 3.1e-7
     of float64 erf, so that float32 GELU and its derivative stay within
     1e-6 of their float64 values on [-10, 10]. float64 keeps scipy's erf,
     so gradient checks keep float64 accuracy."""
@@ -671,12 +671,19 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-# |logit| below which exp neither overflows nor goes subnormal in float32
-_EXP_SAFE = 60.0
+# logit bound below which softmax needs no column max: E = exp(S) stays in
+# [e^-30, e^30] and |V| <= sqrt(30 / d), so no product of the forward, nor
+# of the backward for gradients below 1e20, comes near float32 overflow
+# (e^88), and E times any |V| above 1e-25 stays a normal float32
+_EXP_SAFE = 30.0
 
 
-def _abs_max(a: np.ndarray) -> float:
-    return max(float(a.max()), -float(a.min()))
+def _skips_max(qkv: np.ndarray, bias: np.ndarray, d: int) -> bool:
+    """True when bound = d a^2 + max|B|, with a = max|qkv| (Q, K and V
+    at once; two fast reductions over contiguous memory), is below
+    ``_EXP_SAFE``. The bound holds every |logit|. NaN or inf gives False."""
+    a = max(float(qkv.max()), -float(qkv.min()))
+    return d * a * a + max(float(bias.max()), -float(bias.min())) < _EXP_SAFE
 
 
 def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
@@ -697,12 +704,15 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
 
     Softmax does not change when a column of logits is shifted
     (Milakov & Gimelshein, arXiv 1805.02867), so E needs no column max
-    while exp cannot overflow or go subnormal. Once per call, over all of
-    ``qkv`` and ``bias``, bound = d max|Q| max|K| + max|B| bounds every
-    |logit|; below ``_EXP_SAFE`` = 60, E = exp(S). Otherwise E = exp(S -
-    max) with the exact column max over keys (axis -2, which numpy
-    vectorizes across the contiguous query axis). The bound is per call,
-    not per block, so the block size never changes the arithmetic.
+    while neither exp(S) nor its products can overflow. Once per call,
+    ``_skips_max`` bounds every |logit| from max|qkv| and max|B|; below 30,
+    E = exp(S), otherwise E = exp(S - max) with the exact column max over
+    keys (axis -2, which numpy vectorizes across the contiguous query
+    axis). An untrained lightweight model stays far below the bound, an
+    untrained C = 180 model straddles it, and trained weights grow past
+    it; a call that falls back pays two reductions over ``qkv``. The bound
+    is per call, not per block, so the block size never changes the
+    arithmetic.
 
     The output product runs transposed: V^T E into one reused [windows,
     heads, d, query] buffer, scaled by r along its contiguous query axis,
@@ -737,7 +747,7 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     r = np.empty((nw, heads, 1, mm), dtype=dtype)
     vte = np.empty((blocks[0].stop, heads, d, mm), dtype=dtype)
     ones = np.ones((1, mm), dtype=dtype)
-    bounded = d * _abs_max(q) * _abs_max(k) + _abs_max(bias.data) < _EXP_SAFE
+    skip_max = _skips_max(qkv.data, bias.data, d)
     for wins in blocks:
         s = e[wins] if taped else e[:wins.stop - wins.start]
         np.matmul(k[wins], q[wins].swapaxes(-1, -2), out=s)
@@ -746,8 +756,8 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
             slots = mask.slots[np.arange(wins.start, wins.stop) % mask.shape[0]]
             for i in np.flatnonzero(slots >= 0):
                 s[i] += mask.blocks[slots[i]]
-        if not bounded:
-            s -= np.max(s, axis=-2, keepdims=True)
+        if not skip_max:
+            s -= s.max(axis=-2, keepdims=True)
         np.exp(s, out=s)
         rb = r[wins]
         np.matmul(ones, s, out=rb)

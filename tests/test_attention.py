@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
                       dense_attention_oracle, make_attn_params, tape_gradients)
+from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               mlp_forward, relative_position_index,
                               stl_forward, window_msa)
@@ -210,25 +211,25 @@ class TestWindowMsa:
 
 
 class TestLogitBound:
-    """The core skips the softmax column max when d max|Q| max|K| + max|B|
-    is below 60, and keeps the exact max otherwise. Cases: small logits;
-    logits near +-200 (Q K^T large, bias +-100); bias +-100 alone."""
+    """The core skips the softmax column max only while ``_skips_max``
+    bounds every logit (and, through max|qkv|, V), and keeps the exact max
+    otherwise. Cases: small logits; logits near +-200 (Q K^T large, bias
+    +-100); bias +-100 alone."""
 
     CASES = [(False, False), (True, True), (False, True)]   # (big Q K^T, big bias)
 
     @staticmethod
-    def count_column_max(monkeypatch):
-        """Record every np.max over axis -2, the fallback's column max."""
-        calls = []
-        real = np.max
+    def record_paths(monkeypatch):
+        """Record what every call's ``_skips_max`` returned."""
+        taken = []
+        real = T._skips_max
 
-        def spy(a, *args, **kwargs):
-            if kwargs.get("axis") == -2:
-                calls.append(a.shape)
-            return real(a, *args, **kwargs)
+        def spy(*args):
+            taken.append(real(*args))
+            return taken[-1]
 
-        monkeypatch.setattr(np, "max", spy)
-        return calls
+        monkeypatch.setattr(T, "_skips_max", spy)
+        return taken
 
     @staticmethod
     def diagonal_only_mask(m):
@@ -256,7 +257,7 @@ class TestLogitBound:
         # the core masks with -inf; MASK_VALUE (-100) would not outweigh
         # logits near +-200, so the oracle gets -inf too
         oracle_mask = np.where(np.asarray(mask) != 0, -np.inf, 0.0)
-        calls = self.count_column_max(monkeypatch)
+        taken = self.record_paths(monkeypatch)
         runs = []
         for _ in block_budgets(monkeypatch):
             run = []
@@ -276,7 +277,7 @@ class TestLogitBound:
                     run.append(out)
             runs.append(run)
         assert_all_equal(runs)
-        assert bool(calls) == (big_qk or big_bias)
+        assert set(taken) == {not (big_qk or big_bias)}
 
     @pytest.mark.parametrize("big_qk, big_bias", CASES)
     def test_gradcheck_float64(self, rng, monkeypatch, big_qk, big_bias):
@@ -288,13 +289,40 @@ class TestLogitBound:
             qkv[..., :2 * heads * d] *= 10.0
         if big_bias:
             bias = 100.0 * rng.choice([-1.0, 1.0], size=bias.shape)
-        calls = self.count_column_max(monkeypatch)
+        taken = self.record_paths(monkeypatch)
 
         def fn(t, b):
             return sum_(window_attention(t, b, mask) ** 2.0)
 
         check_gradients(fn, [qkv, bias])
-        assert bool(calls) == (big_qk or big_bias)
+        assert set(taken) == {not (big_qk or big_bias)}
+
+    def test_huge_values_with_moderate_logits_stay_finite(self, monkeypatch):
+        # logits 57.8 and |V| = 1e13: unshifted, exp(S) V would overflow
+        # float32; the weights are uniform, so the output is V exactly
+        qkv = np.full((1, 4, 3), 7.6, dtype=np.float32)
+        qkv[..., 2] = 1e13
+        taken = self.record_paths(monkeypatch)
+        out = window_attention(Tensor(qkv), Tensor(np.zeros((1, 4, 4), np.float32)))
+        np.testing.assert_array_equal(out.data, np.float32(1e13))
+        assert taken == [False]
+
+    def test_bound_counts_every_channel(self, monkeypatch):
+        # Q = K = 1.5 over d = 16 channels: every logit is 36, above 30
+        qkv = np.full((1, 4, 48), 1.5, dtype=np.float32)
+        taken = self.record_paths(monkeypatch)
+        out = window_attention(Tensor(qkv), Tensor(np.zeros((1, 4, 4), np.float32)))
+        np.testing.assert_array_equal(out.data, 1.5)
+        assert taken == [False]
+
+    def test_non_finite_inputs_keep_the_max(self):
+        bias = np.zeros((1, 4, 4))
+        for bad in (np.nan, np.inf, -np.inf):
+            qkv = np.zeros((1, 4, 3))
+            qkv[0, 1, 2] = bad
+            assert not T._skips_max(qkv, bias, 1)
+            assert not T._skips_max(np.zeros((1, 4, 3)), bias + bad, 1)
+        assert T._skips_max(np.zeros((1, 4, 3)), bias, 1)
 
 
 class TestMlp:

@@ -242,7 +242,37 @@ class TestErf:
         assert np.abs(gelu(Tensor(self.grid)).data - gelu(Tensor(wide)).data).max() <= 1e-6
         assert np.abs(T._gelu_grad(self.grid) - T._gelu_grad(wide)).max() <= 1e-6
 
+    def test_float32_erf_unbiased_near_zero(self, rng):
+        # GELU inputs sit near 0, and a model sums the error over its
+        # layers: a rational whose slope at 0 is off by a few 1e-8 (its fit,
+        # or 2/sqrt(pi) rounded to float32) shows here as a mean offset
+        for sigma in (0.02, 0.05, 0.2, 1.0):
+            x = (sigma * rng.normal(size=200000)).astype(np.float32)
+            x = x[x != 0]
+            want = erf(x.astype(np.float64))
+            rel = T._erf(x, np.empty_like(x)) / want - 1.0
+            assert abs(rel.mean()) < 1e-8, sigma
+
+    def test_rational_fit_in_float64(self):
+        x = np.linspace(-T._ERF_RATIONAL_TO, T._ERF_RATIONAL_TO, 100000)
+        rel = T._erf_rational(x, np.empty_like(x)) / erf(x) - 1.0
+        assert np.abs(rel).max() <= 2e-9
+
+    def test_any_layout(self, rng):
+        a = (3.0 * rng.normal(size=(60, 40))).astype(np.float32)
+        assert (np.abs(a) > T._ERF_RATIONAL_TO).any()
+        for view in (np.transpose, lambda m: m[::2, ::3]):
+            x = view(a)
+            dense = np.ascontiguousarray(x)
+            np.testing.assert_array_equal(T._gelu_grad(x), T._gelu_grad(dense))
+            np.testing.assert_array_equal(T._erf(x, np.empty_like(x)),
+                                          T._erf(dense, np.empty_like(dense)))
+            out = view(a.copy())
+            np.testing.assert_array_equal(T._erf(out, out), T._erf(dense, dense.copy()))
+
     def test_non_finite_inputs_map_as_with_scipy_erf(self):
+        huge = np.array([3e38, -3e38, 1e-30], dtype=np.float32)
+        np.testing.assert_array_equal(T._erf(huge, np.empty_like(huge)), erf(huge))
         x = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
         with np.errstate(invalid="ignore"):
             cdf = 0.5 * (1.0 + erf(x * T._INV_SQRT2))
