@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .degrade import DegradationSpec, degrade_image
 from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
                       read_manifest, save_image)
-from .metrics import eval_pair
+from .metrics import SSIM_MIN_SIDE, eval_pair
 from .model import SwinIRConfig, tiny_config
 from .rng import derive
 from .train import (PairDataset, TrainConfig, gradcheck,
@@ -157,6 +157,14 @@ def _load_images(path: str) -> list[ImageBuffer]:
     return [_read(load_image, p) for p in names]
 
 
+def _restore(params, img: ImageBuffer, path: str) -> ImageBuffer:
+    """``restore_image``; an image of the wrong channel count is a data error."""
+    if img.channels != params.config.in_channels:
+        raise _fail(f"{path}: {img.channels} channels, model expects "
+                    f"{params.config.in_channels}", EXIT_DATA)
+    return restore_image(params, img)
+
+
 # -- subcommands ------------------------------------------------------------
 
 def cmd_degrade(args) -> int:
@@ -224,11 +232,7 @@ def cmd_infer(args) -> int:
     if many:
         os.makedirs(args.out, exist_ok=True)
     for path in inputs:
-        img = _read(load_image, path)
-        if img.channels != params.config.in_channels:
-            raise _fail(f"{path}: {img.channels} channels, model expects "
-                        f"{params.config.in_channels}", EXIT_DATA)
-        restored = restore_image(params, img)
+        restored = _restore(params, _read(load_image, path), path)
         dest = os.path.join(args.out, os.path.basename(path)) if many else args.out
         save_image(restored, dest)
     return EXIT_OK
@@ -250,7 +254,15 @@ def cmd_eval(args) -> int:
     for name in names:
         lp, hp = lq_by_name[name], hq_by_name[name]
         lq, hq = _read(load_image, lp), _read(load_image, hp)
-        restored = restore_image(params, lq) if params else lq
+        restored = _restore(params, lq, lp) if params else lq
+        if restored.data.shape != hq.data.shape:
+            raise _fail(f"{lp}{' restored' if params else ''}: shape "
+                        f"{restored.data.shape} does not match {hp}: "
+                        f"{hq.data.shape}", EXIT_DATA)
+        if min(hq.height, hq.width) - 2 * args.border < SSIM_MIN_SIDE:
+            raise _fail(f"{hp}: {hq.height}x{hq.width} leaves fewer than "
+                        f"{SSIM_MIN_SIDE} pixels a side for the ssim window "
+                        f"after a border of {args.border}", EXIT_DATA)
         p, s = eval_pair(restored, hq, border=args.border)
         psnrs.append(p)
         ssims.append(s)

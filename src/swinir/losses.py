@@ -2,15 +2,14 @@
 
 Super-resolution trains with the plain L1 pixel loss; denoising and
 compression-artifact reduction use the Charbonnier loss
-sqrt(diff^2 + eps^2), which stays differentiable at zero residual. The
-default applies Charbonnier per element and averages; the single global
-norm form is available behind a flag.
+sqrt(diff^2 + eps^2), which stays differentiable at zero residual,
+applied per element and averaged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, abs_, mean, sqrt, sum_
+from .tensor import Tensor, abs_, mean, sqrt
 
 DEFAULT_CHARBONNIER_EPS = 1e-3
 
@@ -39,21 +38,13 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def charbonnier_loss(pred: Tensor, target: Tensor,
-                     eps: float = DEFAULT_CHARBONNIER_EPS,
-                     per_element: bool = True) -> Tensor:
-    """sqrt(diff^2 + eps^2), averaged per element by default.
-
-    With per_element=False this is the literal single-norm form
-    sqrt(sum(diff^2) + eps^2).
-    """
+                     eps: float = DEFAULT_CHARBONNIER_EPS) -> Tensor:
+    """sqrt(diff^2 + eps^2), averaged per element."""
     _check_shapes(pred, target)
     if eps <= 0:
         raise ValueError("eps must be positive")
     diff = pred - target
-    sq = diff * diff
-    if per_element:
-        return mean(sqrt(sq + eps * eps))
-    return sqrt(sum_(sq) + eps * eps)
+    return mean(sqrt(diff * diff + eps * eps))
 
 
 def loss_for_task(task: str) -> LossConfig:

@@ -14,6 +14,7 @@ import numpy as np
 from .imageio import ImageBuffer, quantize_u8
 
 SSIM_WINDOW = 11
+SSIM_MIN_SIDE = (SSIM_WINDOW + 1) // 2     # the symmetric padding's limit
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -83,7 +84,7 @@ def ssim(pred: ImageLike, target: ImageLike, border: int = 0) -> float:
     b = _crop(_as255(target), border)
     if a.shape != b.shape:
         raise ValueError(f"ssim dimension mismatch: {a.shape} vs {b.shape}")
-    if min(a.shape[0], a.shape[1]) < (SSIM_WINDOW + 1) // 2:
+    if min(a.shape[0], a.shape[1]) < SSIM_MIN_SIDE:
         raise ValueError(
             f"image {a.shape[0]}x{a.shape[1]} smaller than the ssim window supports")
     kernel = _gaussian_kernel()

@@ -623,8 +623,10 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(xd: np.ndarray) -> np.ndarray:
-    # d/dx [x * Phi(x)] = Phi(x) + x * phi(x)
-    phi = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+    # d/dx [x * Phi(x)] = Phi(x) + x * phi(x); phi from the clipped value,
+    # as x^2 overflows float32 above 1.8e19 and exp(-800) is 0 anyway
+    xc = np.clip(xd, -40.0, 40.0)
+    phi = np.exp(-0.5 * xc * xc) * _INV_SQRT2PI
     cdf = xd * _INV_SQRT2
     _erf(cdf, cdf)
     cdf += 1.0
@@ -691,14 +693,15 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
 
     ``qkv`` holds Q (already scaled by 1/sqrt(d)), K and V side by side,
     each split into heads by contiguous channel chunks; ``bias`` is
-    [heads, key, query]; ``mask`` is None or a ``windows.AttnMask`` whose
-    windows repeat over the batch. Returns softmax(Q K^T + B + mask) V
-    with heads concatenated, [nW, m^2, C].
+    [heads, key, query]; ``mask`` is None or a ``windows.AttnMask``,
+    -inf only on boundary windows, whose slots repeat over the batch.
+    Returns softmax(Q K^T + B + mask) V with heads concatenated,
+    [nW, m^2, C].
 
     Windows run in blocks (``_blocks``) sized so that a block's scores,
     [windows, heads, key, query], stay in cache from Q K^T to the output.
     Bias and the mask's -inf entries (added window by window, only on the
-    block's masked windows) update one buffer in place, which exp turns
+    block's boundary windows) update one buffer in place, which exp turns
     into E. E is never normalized: its column sums come from one product,
     ones[1, key] @ E, and the output is scaled by their reciprocals r.
 
@@ -730,8 +733,8 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     heads = bias.shape[0]
     c = c3 // 3
     d = c // heads
-    if mask is not None and nw % mask.shape[0]:
-        raise ValueError(f"{nw} windows not a multiple of {mask.shape[0]} mask windows")
+    if mask is not None and nw % len(mask.slots):
+        raise ValueError(f"{nw} windows not a multiple of {len(mask.slots)} mask windows")
     dtype = qkv.dtype
     # [3, nW, heads, tokens, d] strided views; BLAS reads them in place
     q, k, v = qkv.data.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
@@ -753,7 +756,7 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
         np.matmul(k[wins], q[wins].swapaxes(-1, -2), out=s)
         s += bias.data
         if mask is not None:
-            slots = mask.slots[np.arange(wins.start, wins.stop) % mask.shape[0]]
+            slots = mask.slots[np.arange(wins.start, wins.stop) % len(mask.slots)]
             for i in np.flatnonzero(slots >= 0):
                 s[i] += mask.blocks[slots[i]]
         if not skip_max:

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.iterations < 0 or self.batch_size < 1 or self.patch_size < 1:
             raise ValueError("bad loop sizing")
+        if self.val_period < 1:
+            raise ValueError("val_period must be at least 1")
 
 
 @dataclass

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .tensor import Tensor, getitem, permute, reshape, roll, take
-
-MASK_VALUE = -100.0
 
 
 @dataclass(frozen=True)
@@ -114,62 +113,42 @@ def unshift(x: Tensor, s: int) -> Tensor:
     return roll(x, (s, s), axes=(1, 2))
 
 
-def _partition_np(x: np.ndarray, m: int) -> np.ndarray:
-    h, w = x.shape
-    return (x.reshape(h // m, m, w // m, m)
-             .transpose(0, 2, 1, 3)
-             .reshape(-1, m * m))
+class AttnMask(NamedTuple):
+    """Shifted-window mask in the form the attention core adds it.
 
-
-class AttnMask(np.ndarray):
-    """Read-only additive mask, [nW, m^2, m^2], plus the parts the fused
-    attention core reads: ``windows``, the indices of the windows with
-    any nonzero entry; ``blocks``, those windows' masks key-major, shaped
-    [len(windows), 1, m^2, m^2] to broadcast over heads; and ``slots``,
-    for every window its row in ``blocks`` or -1 if it is unmasked, so a
-    block of windows finds its masked ones by lookup.
-
-    ``blocks`` holds -inf where the mask is nonzero, so masked pairs get
-    weight exactly 0. With MASK_VALUE they would get about e^-100, which
-    float32 stores only as a subnormal; subnormals make the exp and every
-    product that reads them, forward and backward, an order of magnitude
-    slower, for no visible change in the output."""
-    windows = None
-    blocks = None
-    slots = None
+    Only the last row and the last column of windows straddle a pre-shift
+    region boundary. ``blocks``, read-only [3, 1, m^2, m^2] float32 (the 1
+    broadcasts over heads), holds -inf for token pairs from different
+    regions and 0 elsewhere, so masked pairs get weight exactly 0; its
+    patterns cut a window's rows (0, the last window row), its columns
+    (1, the last window column) or both (2, the corner), each at local
+    index m - s. Every pattern is symmetric. ``slots``, read-only [nW],
+    gives each row-major window its pattern, or -1 if it is unmasked."""
+    slots: np.ndarray
+    blocks: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def build_attn_mask(h: int, w: int, m: int, s: int) -> AttnMask:
-    """Additive per-window mask for a shifted pass, [HW/m^2, m^2, m^2].
+    """Mask for a pass of m x m windows over an h x w grid shifted by s.
 
-    Pixels are labelled by which pre-shift region they came from; the
-    bands split each axis at {0, H-m, H-s}. Token pairs from different
-    regions get MASK_VALUE so softmax drives their weight below 1e-8
-    while staying finite and differentiable; the attention core adds the
-    -inf ``blocks`` instead and gives them weight 0. Shift 0 gives an
-    all-zero mask. Cached, together with ``windows``, ``blocks`` and
-    ``slots``.
+    Shift 0 masks nothing: every slot is -1. Cached.
     """
     if s not in (0, m // 2):
         raise ValueError(f"shift must be 0 or {m // 2}, got {s}")
-    region = np.zeros((h, w), dtype=np.int64)
+    grid = WindowGrid(h, w, m)
+    late = np.arange(m) >= m - s            # local rows/cols of the last band
+    rows, cols = np.repeat(late, m), np.tile(late, m)
+    row_cut = rows[:, None] != rows[None, :]
+    col_cut = cols[:, None] != cols[None, :]
+    cuts = np.stack([row_cut, col_cut, row_cut | col_cut])[:, None]
+    blocks = np.where(cuts, np.float32(-np.inf), np.float32(0.0))
+    slots = np.full((grid.windows_per_col, grid.windows_per_row), -1, dtype=np.int64)
     if s:
-        bands = (slice(0, h - m), slice(h - m, h - s), slice(h - s, h))
-        bands_w = (slice(0, w - m), slice(w - m, w - s), slice(w - s, w))
-        rid = 0
-        for bh in bands:
-            for bw in bands_w:
-                region[bh, bw] = rid
-                rid += 1
-    tokens = _partition_np(region, m)
-    diff = tokens[:, :, None] - tokens[:, None, :]
-    mask = np.where(diff != 0, np.float32(MASK_VALUE), np.float32(0.0)).view(AttnMask)
-    mask.windows = np.flatnonzero(mask.any(axis=(1, 2)))
-    masked = np.asarray(mask)[mask.windows, None].swapaxes(-1, -2) != 0
-    mask.blocks = np.where(masked, np.float32(-np.inf), np.float32(0.0))
-    mask.slots = np.full(len(mask), -1, dtype=np.int64)
-    mask.slots[mask.windows] = np.arange(len(mask.windows))
-    for part in (mask, mask.blocks, mask.slots):
+        slots[-1, :] = 0
+        slots[:, -1] = 1
+        slots[-1, -1] = 2
+    slots = slots.reshape(-1)
+    for part in (slots, blocks):
         part.setflags(write=False)
-    return mask
+    return AttnMask(slots, blocks)

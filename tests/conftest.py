@@ -97,13 +97,27 @@ def make_attn_params(c, heads, m, rng=None, zero=False):
         rel_index=relative_position_index(m), heads=heads)
 
 
+def dense_shift_mask(h, w, m, s):
+    """Additive shifted-window mask, [nW, m^2, m^2] float64, built without
+    ``swinir.windows``: pixels are labelled by their pre-shift region,
+    bands {0, H-m, H-s} by {0, W-m, W-s}, and token pairs of a window from
+    different regions get -inf, all others 0."""
+    label = np.zeros((h, w), dtype=np.int64)
+    if s:
+        for i, rows in enumerate((slice(0, h - m), slice(h - m, h - s), slice(h - s, h))):
+            for j, cols in enumerate((slice(0, w - m), slice(w - m, w - s), slice(w - s, w))):
+                label[rows, cols] = 3 * i + j
+    tokens = label.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1, m * m)
+    return np.where(tokens[:, :, None] != tokens[:, None, :], -np.inf, 0.0)
+
+
 def dense_attention_oracle(x, params, mask=None):
     """Straight-line float64 reference: per head, softmax(QK^T/sqrt(d)+B)V,
     heads concatenated, output projected. Loops, no window machinery.
 
-    ``mask``, if given, is an additive [nW_mask, m^2, m^2] array; window
-    ``wi`` adds ``mask[wi % nW_mask]`` to its logits, as when the same
-    mask repeats over a batch of images."""
+    ``mask``, if given, is an additive [nW_mask, m^2, m^2] array such as
+    ``dense_shift_mask``; window ``wi`` adds ``mask[wi % nW_mask]`` to its
+    logits, as when the same mask repeats over a batch of images."""
     nw, mm, c = x.shape
     heads = params.heads
     d = c // heads

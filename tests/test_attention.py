@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
-                      dense_attention_oracle, make_attn_params, tape_gradients)
+                      dense_attention_oracle, dense_shift_mask, make_attn_params,
+                      tape_gradients)
 from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               mlp_forward, relative_position_index,
@@ -107,10 +108,10 @@ class TestWindowMsa:
         params = make_attn_params(c, heads, m, rng=rng)
         x = rng.normal(size=(5, m * m, c)).astype(np.float32)
         # shifted pass on a batch of two 6x6 images: 9 mask windows, of
-        # which only the last row and column are nonzero, repeated per image
+        # which only the last row and column are masked, repeated per image
         mask = build_attn_mask(6, 6, m, 1)
-        assert 0 < len(mask.windows) < len(mask)
-        xm = rng.normal(size=(2 * len(mask), m * m, c)).astype(np.float32)
+        assert 0 < (mask.slots >= 0).sum() < len(mask.slots)
+        xm = rng.normal(size=(2 * len(mask.slots), m * m, c)).astype(np.float32)
         runs = []
         for _ in block_budgets(monkeypatch):
             got = window_msa(Tensor(x), params).data
@@ -118,7 +119,8 @@ class TestWindowMsa:
                                        atol=1e-5)
             got_masked = window_msa(Tensor(xm), params, mask).data
             np.testing.assert_allclose(got_masked,
-                                       dense_attention_oracle(xm, params, mask),
+                                       dense_attention_oracle(
+                                           xm, params, dense_shift_mask(6, 6, m, 1)),
                                        atol=1e-5)
             runs.append([got, got_masked])
         # blocks change no window's arithmetic
@@ -234,17 +236,18 @@ class TestLogitBound:
     @staticmethod
     def diagonal_only_mask(m):
         # shift 1 on 6x6 at window 2: in the last window every token is
-        # its own region, so each query column keeps only its diagonal key
-        mask = build_attn_mask(6, 6, m, 1)
-        np.testing.assert_array_equal((np.asarray(mask)[-1] == 0), np.eye(m * m))
-        return mask
+        # its own region, so each query column keeps only its diagonal key;
+        # returns the mask and its dense form for the oracle
+        dense = dense_shift_mask(6, 6, m, 1)
+        np.testing.assert_array_equal(dense[-1] == 0, np.eye(m * m))
+        return build_attn_mask(6, 6, m, 1), dense
 
     @pytest.mark.parametrize("big_qk, big_bias", CASES)
     def test_matches_dense_oracle(self, rng, monkeypatch, big_qk, big_bias):
         c, heads, m = 6, 3, 2
         params = make_attn_params(c, heads, m, rng=rng)
-        mask = self.diagonal_only_mask(m)
-        x = rng.normal(size=(2 * len(mask), m * m, c))
+        mask, oracle_mask = self.diagonal_only_mask(m)
+        x = rng.normal(size=(2 * len(mask.slots), m * m, c))
         if big_qk:
             params.wq, params.wk = (Tensor(6.0 * rng.normal(size=(c, c))) for _ in range(2))
         if big_bias:
@@ -254,9 +257,6 @@ class TestLogitBound:
                 for w in (params.wq, params.wk))
         qk = np.einsum("wihd,wjhd->whij", q, k) / np.sqrt(c // heads)
         assert (np.abs(qk).max() > 150) == big_qk
-        # the core masks with -inf; MASK_VALUE (-100) would not outweigh
-        # logits near +-200, so the oracle gets -inf too
-        oracle_mask = np.where(np.asarray(mask) != 0, -np.inf, 0.0)
         taken = self.record_paths(monkeypatch)
         runs = []
         for _ in block_budgets(monkeypatch):
@@ -282,8 +282,8 @@ class TestLogitBound:
     @pytest.mark.parametrize("big_qk, big_bias", CASES)
     def test_gradcheck_float64(self, rng, monkeypatch, big_qk, big_bias):
         heads, d, m = 2, 2, 2
-        mask = self.diagonal_only_mask(m)
-        qkv = rng.uniform(-1.0, 1.0, size=(2 * len(mask), m * m, 3 * heads * d))
+        mask, _ = self.diagonal_only_mask(m)
+        qkv = rng.uniform(-1.0, 1.0, size=(2 * len(mask.slots), m * m, 3 * heads * d))
         bias = 0.1 * rng.normal(size=(heads, m * m, m * m))
         if big_qk:
             qkv[..., :2 * heads * d] *= 10.0

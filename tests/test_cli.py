@@ -181,6 +181,15 @@ class TestTrainCommand:
         assert (tmp_path / "run" / "last.ckpt").exists()
         capsys.readouterr()
 
+    def test_zero_val_period_usage_error(self, tmp_path, capsys):
+        write_images(tmp_path / "data", n=1)
+        cfg = write_config(tmp_path / "c.cfg", val_period=0)
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "val_period" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_fixed_seed_byte_reproducible(self, tmp_path, capsys):
         write_images(tmp_path / "data", n=2)
         cfg = write_config(tmp_path / "c.cfg", iterations=3, val_period=3)
@@ -338,6 +347,29 @@ class TestInferEval:
                    "--hq-dir", str(tmp_path / "hq")])
         assert rc == 0
         assert capsys.readouterr().out.count("inf") == 3
+
+    def test_eval_size_mismatch_is_data_error(self, tmp_path, capsys):
+        write_images(tmp_path / "lq", n=1, size=16)
+        write_images(tmp_path / "hq", n=1, size=24)
+        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
+                   "--hq-dir", str(tmp_path / "hq")])
+        assert rc == 3
+        assert "img0.pgm" in capsys.readouterr().err
+
+    def test_eval_image_below_ssim_window_is_data_error(self, tmp_path, capsys):
+        write_images(tmp_path / "hq", n=1, size=5)
+        rc = main(["eval", "--lq-dir", str(tmp_path / "hq"),
+                   "--hq-dir", str(tmp_path / "hq")])
+        assert rc == 3
+        assert "img0.pgm" in capsys.readouterr().err
+
+    def test_eval_channel_mismatch_is_data_error(self, tmp_path, capsys):
+        ckpt, _ = make_ckpt(tmp_path)
+        write_images(tmp_path / "hq", n=1, size=16, channels=3)
+        rc = main(["eval", "--ckpt", str(ckpt), "--lq-dir", str(tmp_path / "hq"),
+                   "--hq-dir", str(tmp_path / "hq")])
+        assert rc == 3
+        assert "img0.ppm" in capsys.readouterr().err
 
     def test_eval_with_checkpoint_runs(self, tmp_path, capsys):
         ckpt, _ = make_ckpt(tmp_path)

@@ -39,9 +39,6 @@ class TestCharbonnier:
         x = np.asarray(rng.uniform(size=(4, 4)))
         loss = charbonnier_loss(Tensor(x), Tensor(x.copy()), eps=1e-3)
         assert loss.item() == pytest.approx(1e-3, rel=1e-12)
-        glob = charbonnier_loss(Tensor(x), Tensor(x.copy()), eps=1e-3,
-                                per_element=False)
-        assert glob.item() == pytest.approx(1e-3, rel=1e-12)
 
     def test_single_element_unit_diff(self):
         loss = charbonnier_loss(Tensor(np.array([1.0])), Tensor(np.array([0.0])),
@@ -52,14 +49,6 @@ class TestCharbonnier:
         x = rng.uniform(size=(3, 3))
         check_gradients(lambda p, t: charbonnier_loss(p, t), [x, x.copy()],
                         tol=1e-3)
-
-    def test_global_norm_form(self, rng):
-        pred = rng.uniform(size=(5,))
-        target = rng.uniform(size=(5,))
-        got = charbonnier_loss(Tensor(pred), Tensor(target), eps=1e-3,
-                               per_element=False).item()
-        want = math.sqrt(np.sum((pred - target) ** 2) + 1e-6)
-        assert got == pytest.approx(want, rel=1e-9)
 
     def test_approaches_l1_as_eps_vanishes(self, rng):
         pred = rng.uniform(size=(64,)) + 1.0   # diffs bounded away from zero

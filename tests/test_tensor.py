@@ -281,6 +281,11 @@ class TestErf:
             np.testing.assert_array_equal(gelu(Tensor(x)).data, x * cdf)
             np.testing.assert_array_equal(T._gelu_grad(x), cdf + x * phi)
 
+    def test_gelu_grad_of_huge_finite_inputs(self):
+        # x^2 overflows float32 above 1.8e19; the warning would be an error
+        x = np.array([3e19, -3e19, 3.4e38, -3.4e38], dtype=np.float32)
+        np.testing.assert_array_equal(T._gelu_grad(x), [1.0, 0.0, 1.0, 0.0])
+
     def test_float64_is_scipy_formula_bit_for_bit(self, rng):
         # x * (1/sqrt(2)), the product the float64 GELU has always taken
         x = np.concatenate([3.0 * rng.normal(size=5000), self.grid.astype(np.float64)])

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swinir.tensor import Tensor, softmax
-from swinir.windows import (MASK_VALUE, WindowGrid, build_attn_mask,
+from conftest import dense_shift_mask
+from swinir.tensor import Tensor, window_attention
+from swinir.windows import (WindowGrid, build_attn_mask,
                             crop_to, cyclic_shift, pad_to_multiple, unshift,
                             window_partition, window_reverse)
 
@@ -86,43 +89,80 @@ class TestCyclicShift:
         np.testing.assert_array_equal(back.data, x)
 
 
+def expand(mask):
+    """The mask as the attention core adds it, one [m^2, m^2] per window."""
+    per_window = mask.blocks[mask.slots, 0]
+    return np.where(mask.slots[:, None, None] >= 0, per_window, np.float32(0.0))
+
+
 class TestAttnMask:
     def test_zero_shift_all_zero(self):
         mask = build_attn_mask(8, 8, 4, 0)
-        assert mask.shape == (4, 16, 16)
-        assert not mask.any()
+        np.testing.assert_array_equal(mask.slots, [-1, -1, -1, -1])
+        assert not expand(mask).any()
 
     def test_tiny_window_mixes_four_regions(self):
         mask = build_attn_mask(2, 2, 2, 1)
-        assert mask.shape == (1, 4, 4)
-        expected = np.full((4, 4), MASK_VALUE, dtype=np.float32)
-        np.fill_diagonal(expected, 0.0)
-        np.testing.assert_array_equal(mask[0], expected)
+        np.testing.assert_array_equal(mask.slots, [2])
+        np.testing.assert_array_equal(mask.blocks[2, 0] == 0, np.eye(4))
 
     def test_interior_window_unmasked(self):
         mask = build_attn_mask(8, 8, 4, 2)
-        # window 0 covers rows/cols [0,4): a single pre-shift region
-        assert not mask[0].any()
+        # window 0 covers rows/cols [0,4): a single pre-shift region; then
+        # the last column, the last row and the corner
+        np.testing.assert_array_equal(mask.slots, [-1, 1, 0, 2])
+        assert not expand(mask)[0].any()
         # the corner window mixes all four region pairs
-        assert (mask[3] == MASK_VALUE).any()
-        # the attention core adds only the nonzero windows, key-major
-        np.testing.assert_array_equal(mask.windows, [1, 2, 3])
-        np.testing.assert_array_equal(mask.blocks[:, 0] == -np.inf,
-                                      np.swapaxes(mask[1:], 1, 2) == MASK_VALUE)
+        assert len(np.unique(mask.blocks[2, 0] == 0, axis=0)) == 4
 
     def test_symmetric_relation(self):
         mask = build_attn_mask(8, 8, 4, 2)
-        np.testing.assert_array_equal(mask, np.swapaxes(mask, 1, 2))
+        np.testing.assert_array_equal(mask.blocks, np.swapaxes(mask.blocks, -1, -2))
+
+    def test_read_only(self):
+        mask = build_attn_mask(8, 8, 4, 2)
+        for part in mask:
+            with pytest.raises(ValueError):
+                part[0] = 0
 
     def test_invalid_shift(self):
         with pytest.raises(ValueError):
             build_attn_mask(8, 8, 4, 1)
 
-    def test_masked_pairs_get_negligible_weight(self, rng):
-        mask = build_attn_mask(4, 4, 2, 1)
-        logits = rng.normal(size=mask.shape).astype(np.float32)
-        attn = softmax(Tensor(logits + mask)).data
-        assert attn[mask == MASK_VALUE].max() < 1e-8
+    def test_matches_dense_region_mask(self):
+        geometries = [(hh * m, ww * m, m) for m in range(2, 10)
+                      for hh in range(1, 6) for ww in range(1, 5)]
+        for h, w, m in geometries + [(70, 70, 7), (128, 128, 8)]:
+            for s in (0, m // 2):
+                np.testing.assert_array_equal(expand(build_attn_mask(h, w, m, s)),
+                                              dense_shift_mask(h, w, m, s),
+                                              err_msg=f"{h}x{w} m={m} s={s}")
+
+    def test_memory_does_not_grow_with_image(self):
+        # 4096 windows at 512^2: the mask is one slot per window plus
+        # three 64x64 blocks, not a [4096, 64, 64] array (64 MB)
+        tracemalloc.start()
+        try:
+            build_attn_mask.__wrapped__(512, 512, 8, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_masked_pairs_get_zero_weight(self, rng):
+        # V = I per window makes the output the attention weights
+        # [query, key]; heads 1 with zero bias
+        h, w, m = 4, 4, 2
+        mask = build_attn_mask(h, w, m, 1)
+        nw, mm = len(mask.slots), m * m
+        qkv = np.concatenate([rng.normal(size=(nw, mm, 2 * mm)),
+                              np.broadcast_to(np.eye(mm), (nw, mm, mm))], axis=-1)
+        weights = window_attention(Tensor(qkv.astype(np.float32)),
+                                   Tensor(np.zeros((1, mm, mm), np.float32)), mask).data
+        masked = dense_shift_mask(h, w, m, 1) == -np.inf
+        assert masked.any()
+        assert (weights[masked] == 0.0).all()
+        assert (weights[~masked] > 0.0).all()
 
     def test_grid_validates(self):
         with pytest.raises(ValueError):
