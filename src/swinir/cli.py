@@ -2,9 +2,9 @@
 
 Subcommands: degrade, train, infer, eval, gradcheck, inspect. Exit codes:
 0 success, 2 usage or validation error, 3 data or integrity error,
-4 numeric failure. Unknown flags are errors. Every randomized command
-takes --seed; when omitted, a seed is drawn from system entropy and
-printed so the run can be reproduced.
+4 numeric failure. Unknown flags are errors. degrade and train take
+--seed; when omitted, a seed is drawn from system entropy and printed so
+the run can be reproduced. gradcheck takes --seed too, 0 by default.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import argparse
 import os
 import secrets
 import sys
-from dataclasses import fields as dc_fields, replace
+from dataclasses import asdict
 from typing import Dict, Optional
 
 import numpy as np
@@ -23,7 +23,6 @@ from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
                       read_manifest, save_image)
 from .metrics import SSIM_MIN_SIDE, eval_pair
 from .model import SwinIRConfig, tiny_config
-from .rng import derive
 from .train import (PairDataset, TrainConfig, gradcheck,
                     make_validation_pairs, restore_image, train)
 
@@ -39,22 +38,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(message: str, code: int) -> "CliError":
-    return CliError(message, code)
-
-
 # -- config files ----------------------------------------------------------
 
-MODEL_KEYS = {f.name for f in dc_fields(SwinIRConfig)}
-TRAIN_KEYS = {f.name for f in dc_fields(TrainConfig)} - {"milestones"}
-# training degradation strength: noise sigma for denoise, DCT
-# quantization quality for car
-DEGRADATION_DEFAULTS = {"sigma": 25.0, "quality": 40}
+# every config file key with its default, by section; a value parses by
+# the type of its default
+CONFIG_KEYS: Dict[str, Dict[str, object]] = {
+    "model": asdict(SwinIRConfig()),
+    "training": asdict(TrainConfig()),
+    # training degradation strength: noise sigma for denoise, DCT
+    # quantization quality for car
+    "degradation": {"sigma": 25.0, "quality": 40},
+}
+CONFIG_DEFAULTS = {k: v for keys in CONFIG_KEYS.values() for k, v in keys.items()}
 
-_BOOL_KEYS = {"rstb_residual"}
-_STR_KEYS = {"task", "head_style"}
-_FLOAT_KEYS = {"mlp_ratio", "lr", "beta1", "beta2", "eps", "weight_decay",
-               "lr_factor", "sigma"}
+
+def _parse_value(default: object, val: str) -> object:
+    if isinstance(default, bool):
+        if val.lower() not in ("true", "false", "0", "1"):
+            raise ValueError("expected a boolean")
+        return val.lower() in ("true", "1")
+    return type(default)(val)
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
@@ -64,57 +67,38 @@ def parse_config_file(path: str) -> Dict[str, object]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _fail(f"cannot read config {path}: {exc}", EXIT_DATA)
+        raise CliError(f"cannot read config {path}: {exc}", EXIT_DATA)
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _fail(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}",
-                        EXIT_USAGE)
+            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}",
+                           EXIT_USAGE)
         key, _, val = (s.strip() for s in line.partition("="))
-        if key not in MODEL_KEYS | TRAIN_KEYS | DEGRADATION_DEFAULTS.keys():
-            raise _fail(f"{path}:{lineno}: unknown key {key!r}", EXIT_USAGE)
+        if key not in CONFIG_DEFAULTS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}", EXIT_USAGE)
         try:
-            if key in _STR_KEYS:
-                values[key] = val
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError("expected a boolean")
-                values[key] = val.lower() in ("true", "1")
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            else:
-                values[key] = int(val)
+            values[key] = _parse_value(CONFIG_DEFAULTS[key], val)
         except ValueError as exc:
-            raise _fail(f"{path}:{lineno}: bad value for {key}: {exc}", EXIT_USAGE)
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}", EXIT_USAGE)
     return values
 
 
 def build_configs(values: Dict[str, object]) -> tuple[SwinIRConfig, TrainConfig]:
-    model_kwargs = {k: v for k, v in values.items() if k in MODEL_KEYS}
-    train_kwargs = {k: v for k, v in values.items() if k in TRAIN_KEYS}
+    model_kwargs = {k: v for k, v in values.items() if k in CONFIG_KEYS["model"]}
+    train_kwargs = {k: v for k, v in values.items() if k in CONFIG_KEYS["training"]}
     try:
         return SwinIRConfig(**model_kwargs).validate(), TrainConfig(**train_kwargs)
     except (TypeError, ValueError) as exc:
-        raise _fail(f"invalid configuration: {exc}", EXIT_USAGE)
+        raise CliError(f"invalid configuration: {exc}", EXIT_USAGE)
 
 
 def _config_help() -> str:
-    model_defaults = SwinIRConfig()
-    train_defaults = TrainConfig()
-    lines = ["config file keys (flat 'key = value', # comments):",
-             "  model:"]
-    for f in dc_fields(SwinIRConfig):
-        lines.append(f"    {f.name} (default {getattr(model_defaults, f.name)!r})")
-    lines.append("  training:")
-    for f in dc_fields(TrainConfig):
-        if f.name == "milestones":
-            continue
-        lines.append(f"    {f.name} (default {getattr(train_defaults, f.name)!r})")
-    lines.append("  degradation:")
-    for key, default in DEGRADATION_DEFAULTS.items():
-        lines.append(f"    {key} (default {default!r})")
+    lines = ["config file keys (flat 'key = value', # comments):"]
+    for section, keys in CONFIG_KEYS.items():
+        lines.append(f"  {section}:")
+        lines += [f"    {key} (default {default!r})" for key, default in keys.items()]
     return "\n".join(lines)
 
 
@@ -128,14 +112,24 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _task_degradation(task: str, scale: int, sigma: float, quality: int,
+                      seed: int) -> DegradationSpec:
+    """The degradation that synthesizes a task's low-quality inputs."""
+    if task == "sr":
+        return DegradationSpec(kind="bicubic", scale=scale, seed=seed)
+    if task == "denoise":
+        return DegradationSpec(kind="gaussian_noise", sigma=sigma, seed=seed)
+    return DegradationSpec(kind="dct_quantize", quality=quality, seed=seed)
+
+
 def _gather_inputs(path: str) -> list[str]:
     if os.path.isdir(path):
         found = image_paths(path)
         if not found:
-            raise _fail(f"no PGM/PPM images under {path}", EXIT_DATA)
+            raise CliError(f"no PGM/PPM images under {path}", EXIT_DATA)
         return found
     if not os.path.exists(path):
-        raise _fail(f"no such file: {path}", EXIT_DATA)
+        raise CliError(f"no such file: {path}", EXIT_DATA)
     return [path]
 
 
@@ -144,24 +138,29 @@ def _read(load, path: str):
     try:
         return load(path)
     except ImageFormatError as exc:
-        raise _fail(str(exc), EXIT_DATA)
+        raise CliError(str(exc), EXIT_DATA)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail(f"cannot read {path}: {exc}", EXIT_DATA)
+        raise CliError(f"cannot read {path}: {exc}", EXIT_DATA)
 
 
-def _load_images(path: str) -> list[ImageBuffer]:
+def _load_images(path: str) -> list[tuple[str, ImageBuffer]]:
+    """(path, image) of every image a directory, manifest or file names."""
     if os.path.isfile(path) and not path.lower().endswith((".pgm", ".ppm")):
         names = _read(read_manifest, path)
     else:
         names = _gather_inputs(path)
-    return [_read(load_image, p) for p in names]
+    return [(p, _read(load_image, p)) for p in names]
+
+
+def _check_channels(cfg: SwinIRConfig, img: ImageBuffer, path: str) -> None:
+    """An image of the wrong channel count for the model is a data error."""
+    if img.channels != cfg.in_channels:
+        raise CliError(f"{path}: {img.channels} channels, model expects "
+                       f"{cfg.in_channels}", EXIT_DATA)
 
 
 def _restore(params, img: ImageBuffer, path: str) -> ImageBuffer:
-    """``restore_image``; an image of the wrong channel count is a data error."""
-    if img.channels != params.config.in_channels:
-        raise _fail(f"{path}: {img.channels} channels, model expects "
-                    f"{params.config.in_channels}", EXIT_DATA)
+    _check_channels(params.config, img, path)
     return restore_image(params, img)
 
 
@@ -169,18 +168,10 @@ def _restore(params, img: ImageBuffer, path: str) -> ImageBuffer:
 
 def cmd_degrade(args) -> int:
     seed = _resolve_seed(args)
-    if args.task == "sr":
-        if args.scale is None:
-            raise _fail("sr degradation needs --scale", EXIT_USAGE)
-        spec = DegradationSpec(kind="bicubic", scale=args.scale, seed=seed)
-    elif args.task == "denoise":
-        if args.sigma is None:
-            raise _fail("denoise degradation needs --sigma", EXIT_USAGE)
-        spec = DegradationSpec(kind="gaussian_noise", sigma=args.sigma, seed=seed)
-    else:
-        if args.quality is None:
-            raise _fail("car degradation needs --quality", EXIT_USAGE)
-        spec = DegradationSpec(kind="dct_quantize", quality=args.quality, seed=seed)
+    needs = {"sr": "scale", "denoise": "sigma", "car": "quality"}[args.task]
+    if getattr(args, needs) is None:
+        raise CliError(f"{args.task} degradation needs --{needs}", EXIT_USAGE)
+    spec = _task_degradation(args.task, args.scale, args.sigma, args.quality, seed)
     print(f"degradation: {spec.describe()}")
 
     inputs = _gather_inputs(getattr(args, "in"))
@@ -188,10 +179,7 @@ def cmd_degrade(args) -> int:
     if many:
         os.makedirs(args.out, exist_ok=True)
     for i, path in enumerate(inputs):
-        img = _read(load_image, path)
-        per_img = replace(spec, seed=derive(seed, i)) \
-            if spec.kind == "gaussian_noise" else spec
-        out_img = degrade_image(img, per_img)
+        out_img = degrade_image(_read(load_image, path), spec.for_item(seed, i))
         dest = os.path.join(args.out, os.path.basename(path)) if many else args.out
         save_image(out_img, dest)
     return EXIT_OK
@@ -206,22 +194,26 @@ def cmd_train(args) -> int:
     if args.iterations is not None:
         values["iterations"] = args.iterations
     model_cfg, train_cfg = build_configs(values)
-    degradation = {**DEGRADATION_DEFAULTS, **values}
-    if model_cfg.task == "sr":
-        spec = DegradationSpec(kind="bicubic", scale=model_cfg.scale)
-    elif model_cfg.task == "denoise":
-        spec = DegradationSpec(kind="gaussian_noise", sigma=degradation["sigma"],
-                               seed=train_cfg.seed)
-    else:
-        spec = DegradationSpec(kind="dct_quantize", quality=degradation["quality"])
+    strength = {**CONFIG_KEYS["degradation"], **values}
+    spec = _task_degradation(model_cfg.task, model_cfg.scale, strength["sigma"],
+                             strength["quality"], train_cfg.seed)
 
     hq = _load_images(args.data)
-    dataset = PairDataset(hq_images=hq, spec=spec)
-    val_pairs = make_validation_pairs(_load_images(args.val), spec) if args.val else []
+    val = _load_images(args.val) if args.val else []
+    # checked here, not at the first step or validation that meets them
+    side = train_cfg.patch_size * model_cfg.scale
+    for path, img in hq + val:
+        _check_channels(model_cfg, img, path)
+    for path, img in hq:
+        if min(img.height, img.width) < side:
+            raise CliError(f"{path}: {img.height}x{img.width} is smaller than the "
+                           f"{side}x{side} training patch", EXIT_DATA)
+    dataset = PairDataset(hq_images=[img for _, img in hq], spec=spec)
+    val_pairs = make_validation_pairs([img for _, img in val], spec)
     result = train(model_cfg, train_cfg, dataset, val_pairs, out_dir=args.out,
                    resume=args.resume, log=print)
     if result.diverged:
-        raise _fail("training diverged; last good checkpoint retained", EXIT_NUMERIC)
+        raise CliError("training diverged; last good checkpoint retained", EXIT_NUMERIC)
     return EXIT_OK
 
 
@@ -245,8 +237,8 @@ def cmd_eval(args) -> int:
     unmatched = sorted(lq_by_name.keys() ^ hq_by_name.keys())
     if unmatched:
         side = "--lq-dir" if unmatched[0] in lq_by_name else "--hq-dir"
-        raise _fail(f"{unmatched[0]} in {side} has no image of the same name "
-                    f"in the other directory", EXIT_DATA)
+        raise CliError(f"{unmatched[0]} in {side} has no image of the same name "
+                       f"in the other directory", EXIT_DATA)
     names = sorted(lq_by_name)
     name_w = max(len(name) for name in names)
     print(f"{'image':<{name_w}}  {'psnr':>9}  {'ssim':>7}")
@@ -256,13 +248,13 @@ def cmd_eval(args) -> int:
         lq, hq = _read(load_image, lp), _read(load_image, hp)
         restored = _restore(params, lq, lp) if params else lq
         if restored.data.shape != hq.data.shape:
-            raise _fail(f"{lp}{' restored' if params else ''}: shape "
-                        f"{restored.data.shape} does not match {hp}: "
-                        f"{hq.data.shape}", EXIT_DATA)
+            raise CliError(f"{lp}{' restored' if params else ''}: shape "
+                           f"{restored.data.shape} does not match {hp}: "
+                           f"{hq.data.shape}", EXIT_DATA)
         if min(hq.height, hq.width) - 2 * args.border < SSIM_MIN_SIDE:
-            raise _fail(f"{hp}: {hq.height}x{hq.width} leaves fewer than "
-                        f"{SSIM_MIN_SIDE} pixels a side for the ssim window "
-                        f"after a border of {args.border}", EXIT_DATA)
+            raise CliError(f"{hp}: {hq.height}x{hq.width} leaves fewer than "
+                           f"{SSIM_MIN_SIDE} pixels a side for the ssim window "
+                           f"after a border of {args.border}", EXIT_DATA)
         p, s = eval_pair(restored, hq, border=args.border)
         psnrs.append(p)
         ssims.append(s)
@@ -276,9 +268,9 @@ def cmd_gradcheck(args) -> int:
     if args.config:
         model_cfg, _ = build_configs(parse_config_file(args.config))
     else:
-        model_cfg = tiny_config()
-    report = gradcheck(model_cfg, tolerance=args.tolerance,
-                       seed=args.seed if args.seed is not None else 0)
+        # two layers, so the second runs shifted and the mask is checked
+        model_cfg = tiny_config(stl_per_rstb=2, channels=4)
+    report = gradcheck(model_cfg, tolerance=args.tolerance, seed=args.seed)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_NUMERIC
@@ -335,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", required=True, help="input image or directory")
     p.add_argument("--out", required=True, help="output image or directory")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="PSNR/SSIM of restored images",
@@ -345,18 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lq-dir", required=True)
     p.add_argument("--hq-dir", required=True)
     p.add_argument("--border", type=int, default=0)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--config", help="model config file (default: built-in tiny)")
+    p.add_argument("--config", help="model config file (default: built-in tiny, "
+                                    "one block of a plain and a shifted layer)")
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="list checkpoint parameters")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_inspect)
 
     return parser

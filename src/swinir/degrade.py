@@ -11,7 +11,7 @@ Everything here is a deterministic function of (input, spec, seed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,14 @@ class DegradationSpec:
         if self.kind == "gaussian_noise":
             return f"gaussian_noise sigma={self.sigma:g} seed={self.seed}"
         return f"dct_quantize quality={self.quality}"
+
+    def for_item(self, seed: int, *labels: int) -> "DegradationSpec":
+        """The spec for one image or crop of many: Gaussian noise draws from
+        ``derive(seed, *labels)``, so each item gets its own noise; the other
+        kinds draw nothing and come back unchanged."""
+        if self.kind != "gaussian_noise":
+            return self
+        return replace(self, seed=derive(seed, *labels))
 
 
 # -- bicubic resampling ---------------------------------------------------

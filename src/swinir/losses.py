@@ -7,23 +7,9 @@ applied per element and averaged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tensor import Tensor, abs_, mean, sqrt
 
 DEFAULT_CHARBONNIER_EPS = 1e-3
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    kind: str = "l1"                        # "l1" or "charbonnier"
-    epsilon: float = DEFAULT_CHARBONNIER_EPS
-
-    def __post_init__(self):
-        if self.kind not in ("l1", "charbonnier"):
-            raise ValueError(f"unknown loss {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError("charbonnier epsilon must be positive")
 
 
 def _check_shapes(pred: Tensor, target: Tensor) -> None:
@@ -47,12 +33,15 @@ def charbonnier_loss(pred: Tensor, target: Tensor,
     return mean(sqrt(diff * diff + eps * eps))
 
 
-def loss_for_task(task: str) -> LossConfig:
+def loss_for_task(task: str) -> str:
     """Task binding: L1 for sr, Charbonnier for denoise and car."""
-    return LossConfig(kind="l1") if task == "sr" else LossConfig(kind="charbonnier")
+    return "l1" if task == "sr" else "charbonnier"
 
 
-def compute_loss(cfg: LossConfig, pred: Tensor, target: Tensor) -> Tensor:
-    if cfg.kind == "l1":
+def compute_loss(kind: str, pred: Tensor, target: Tensor) -> Tensor:
+    """The loss ``kind``, "l1" or "charbonnier" (at the default eps)."""
+    if kind == "l1":
         return l1_loss(pred, target)
-    return charbonnier_loss(pred, target, eps=cfg.epsilon)
+    if kind == "charbonnier":
+        return charbonnier_loss(pred, target)
+    raise ValueError(f"unknown loss {kind!r}")

@@ -379,18 +379,10 @@ def count_mult_adds(cfg: SwinIRConfig, out_height: int, out_width: int) -> int:
     total += cfg.rstb_count * 9 * c * c * px         # per-block conv
     total += 9 * cfg.in_channels * c * px            # shallow
     total += 9 * c * c * px                          # trunk
-
-    if cfg.task != "sr":
-        total += 9 * c * cfg.out_channels * px
-        return total
-    if cfg.head_style == "direct":
-        total += 9 * c * (r * r * cfg.out_channels) * px
-        return total
-    cp = cfg.head_channels
-    total += 9 * c * cp * px
-    grown = px
-    for s in cfg.upsample_stages:
-        total += 9 * cp * (s * s * cp) * grown
-        grown *= s * s
-    total += 9 * cp * cfg.out_channels * grown
+    # each head conv runs at the resolution the pixel shuffles before it
+    # have reached; a staged head shuffles after every up{k}
+    shuffle = {f"up{k}": s * s for k, s in enumerate(cfg.upsample_stages)}
+    for name, cin, cout in _head_layout(cfg):
+        total += 9 * cin * cout * px
+        px *= shuffle.get(name, 1)
     return total

@@ -622,16 +622,21 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normal_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2 into ``out``; GELU is x Phi(x)."""
+    np.multiply(x, _INV_SQRT2, out=out)
+    _erf(out, out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def _gelu_grad(xd: np.ndarray) -> np.ndarray:
     # d/dx [x * Phi(x)] = Phi(x) + x * phi(x); phi from the clipped value,
     # as x^2 overflows float32 above 1.8e19 and exp(-800) is 0 anyway
     xc = np.clip(xd, -40.0, 40.0)
     phi = np.exp(-0.5 * xc * xc) * _INV_SQRT2PI
-    cdf = xd * _INV_SQRT2
-    _erf(cdf, cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf + xd * phi
+    return _normal_cdf(xd, np.empty_like(xd)) + xd * phi
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -647,10 +652,7 @@ def gelu(x: Tensor) -> Tensor:
     out = np.empty_like(flat)
     for part in _blocks(flat.size, 5 * flat.itemsize):
         xb, ob = flat[part], out[part]
-        np.multiply(xb, _INV_SQRT2, out=ob)
-        _erf(ob, ob)
-        ob += 1.0
-        ob *= 0.5
+        _normal_cdf(xb, ob)
         ob *= xb
 
     def backward(g):

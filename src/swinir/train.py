@@ -1,15 +1,15 @@
 """Toy-scale training loop, Adam optimizer, and the gradient-check harness.
 
-The optimizer/schedule numbers are package defaults (batch Adam with
-beta 0.9/0.999, lr halved at 50/75/90% of the run); they are configurable
-through TrainConfig. Loss binding follows the task: L1 for
-super-resolution, Charbonnier for denoising and artifact reduction.
+Every model trains with one optimizer recipe: Adam with beta 0.9/0.999,
+and the learning rate halved at 50/75/90% of the run. Loss binding
+follows the task: L1 for super-resolution, Charbonnier for denoising and
+artifact reduction.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,11 +17,18 @@ import numpy as np
 from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from .degrade import DegradationSpec, degrade_image, sample_patch_pair
 from .imageio import ImageBuffer
-from .losses import LossConfig, compute_loss, loss_for_task
+from .losses import compute_loss, loss_for_task
 from .metrics import psnr
 from .model import ModelParams, SwinIRConfig, forward, init_params
 from .rng import SplitMix64, derive
 from .tensor import Tensor, no_grad
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_MILESTONES = (0.5, 0.75, 0.9)    # fractions of the run
+LR_FACTOR = 0.5
 
 
 class TrainingDiverged(RuntimeError):
@@ -34,20 +41,12 @@ class TrainConfig:
     batch_size: int = 8
     patch_size: int = 24          # low-quality patch side
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    milestones: Tuple[float, ...] = (0.5, 0.75, 0.9)
-    lr_factor: float = 0.5
     val_period: int = 250
     seed: int = 0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
         if self.iterations < 0 or self.batch_size < 1 or self.patch_size < 1:
             raise ValueError("bad loop sizing")
         if self.val_period < 1:
@@ -71,14 +70,13 @@ class TrainState:
 
 def lr_at(cfg: TrainConfig, step: int) -> float:
     lr = cfg.lr
-    for frac in cfg.milestones:
+    for frac in LR_MILESTONES:
         if step >= frac * cfg.iterations:
-            lr *= cfg.lr_factor
+            lr *= LR_FACTOR
     return lr
 
 
-def adam_step(params: ModelParams, state: TrainState, lr: float,
-              cfg: TrainConfig) -> None:
+def adam_step(params: ModelParams, state: TrainState, lr: float) -> None:
     """One bias-corrected Adam update in place; moments live in ``state``.
 
     Raises TrainingDiverged on any non-finite gradient, leaving the
@@ -91,22 +89,20 @@ def adam_step(params: ModelParams, state: TrainState, lr: float,
         if not np.isfinite(t.grad).all():
             raise TrainingDiverged(f"non-finite gradient in {name} at step {state.step}")
     state.step += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, t in named:
         g = t.grad
         if g is None:
             continue
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * t.data
         m = state.m[name]
         v = state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        t.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        t.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # -- datasets -------------------------------------------------------------
@@ -128,10 +124,8 @@ class PairDataset:
         idx = rng.integers(cfg.batch_size, 0, len(self.hq_images))
         for slot in range(cfg.batch_size):
             crop_seed = derive(int(rng.u64(1)[0]), step, slot)
-            spec = self.spec
-            if spec.kind == "gaussian_noise":
-                # fresh noise per crop, still a pure function of the seeds
-                spec = replace(spec, seed=derive(crop_seed, 0xA01))
+            # fresh noise per crop, still a pure function of the seeds
+            spec = self.spec.for_item(crop_seed, 0xA01)
             lq, hq = sample_patch_pair(self.hq_images[int(idx[slot])], spec,
                                        cfg.patch_size, crop_seed)
             lqs.append(np.moveaxis(lq, 2, 0))
@@ -141,12 +135,8 @@ class PairDataset:
 
 def make_validation_pairs(hq_images: Sequence[ImageBuffer],
                           spec: DegradationSpec) -> List[Tuple[ImageBuffer, ImageBuffer]]:
-    out = []
-    for i, hq in enumerate(hq_images):
-        s = replace(spec, seed=derive(spec.seed, 0x7A1, i)) \
-            if spec.kind == "gaussian_noise" else spec
-        out.append((degrade_image(hq, s), hq))
-    return out
+    return [(degrade_image(hq, spec.for_item(spec.seed, 0x7A1, i)), hq)
+            for i, hq in enumerate(hq_images)]
 
 
 def restore_image(params: ModelParams, lq: ImageBuffer) -> ImageBuffer:
@@ -189,7 +179,6 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
           dataset: PairDataset,
           val_pairs: Sequence[Tuple[ImageBuffer, ImageBuffer]],
           out_dir: Optional[str] = None,
-          loss_cfg: Optional[LossConfig] = None,
           resume: Optional[str] = None,
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
     """Optimize a model on synthesized pairs.
@@ -200,7 +189,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     and the result is flagged.
     """
     model_cfg.validate()
-    loss_cfg = loss_cfg or loss_for_task(model_cfg.task)
+    loss_kind = loss_for_task(model_cfg.task)
     border = model_cfg.scale if model_cfg.task == "sr" else 0
 
     if resume:
@@ -249,7 +238,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     for step in range(state.step, train_cfg.iterations):
         lq, hq = dataset.sample_batch(train_cfg, rng, step)
         pred = forward(params, Tensor(lq))
-        loss = compute_loss(loss_cfg, pred, Tensor(hq))
+        loss = compute_loss(loss_kind, pred, Tensor(hq))
         last_loss = loss.item()
         if not math.isfinite(last_loss):
             result.diverged = True
@@ -259,7 +248,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
         loss.backward()
         lr = lr_at(train_cfg, step)
         try:
-            adam_step(params, state, lr, train_cfg)
+            adam_step(params, state, lr)
         except TrainingDiverged as exc:
             result.diverged = True
             emit(f"step {step} {exc} ABORT")
@@ -342,14 +331,13 @@ def gradcheck(model_cfg: SwinIRConfig, tolerance: float = 1e-4,
     for loss_kind in losses:
         offset = 2.0 if loss_kind == "l1" else 0.0
         target = Tensor(target_base + offset)
-        lcfg = LossConfig(kind=loss_kind)
 
         def loss_value() -> float:
             with no_grad():
-                return compute_loss(lcfg, forward(params, x), target).item()
+                return compute_loss(loss_kind, forward(params, x), target).item()
 
         params.zero_grad()
-        compute_loss(lcfg, forward(params, x), target).backward()
+        compute_loss(loss_kind, forward(params, x), target).backward()
 
         for name, t in params.named():
             analytic = np.zeros_like(t.data) if t.grad is None else t.grad.copy()

@@ -1,3 +1,5 @@
+import ast
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,8 @@ from swinir.checkpoint import save_checkpoint
 from swinir.cli import main, parse_config_file
 from swinir.degrade import procedural_texture
 from swinir.imageio import ImageBuffer, load_image, save_image
-from swinir.model import init_params, param_count, tiny_config
+from swinir.model import SwinIRConfig, init_params, param_count, tiny_config
+from swinir.train import TrainConfig
 
 
 def write_images(directory, n=3, size=24, seed=0, channels=1):
@@ -76,6 +79,40 @@ class TestParsing:
         rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
         assert rc == 2
         assert "window" in capsys.readouterr().err
+
+    def test_help_lists_exactly_the_accepted_keys(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        listed = dict(re.findall(r"^    (\w+) \(default (.*)\)$",
+                                 capsys.readouterr().out, re.M))
+        assert listed.keys() == {*SwinIRConfig.__dataclass_fields__,
+                                 *TrainConfig.__dataclass_fields__,
+                                 "sigma", "quality"}
+        defaults = {k: ast.literal_eval(v) for k, v in listed.items()}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items()))
+        values = parse_config_file(str(cfg))
+        assert values == defaults
+        assert [type(v) for v in values.values()] == [type(v) for v in defaults.values()]
+        assert cli.build_configs(values) == (SwinIRConfig(), TrainConfig())
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "weight_decay",
+                                     "lr_factor", "milestones"])
+    def test_fixed_optimizer_settings_are_unknown_keys(self, tmp_path, key, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"channels = 8\n{key} = 0.5\n")
+        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
+        assert rc == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["infer", "--in", "x", "--out", "y"],
+                                         ["eval", "--lq-dir", "x", "--hq-dir", "y"],
+                                         ["inspect"]])
+    def test_deterministic_commands_reject_seed(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--ckpt", "m.ckpt", *command[1:], "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", mlp_ratio=1.4, head_style="direct")
@@ -202,6 +239,42 @@ class TestTrainCommand:
             blobs.append((tmp_path / run / "last.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
         capsys.readouterr()
+
+
+class TestTrainImageChecks:
+    """Training images the model cannot take are data errors (exit 3) that
+    name the file, before step 0 and before anything is written."""
+
+    def run(self, tmp_path, **overrides):
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        return main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                     "--val", str(tmp_path / "val"), "--out", str(tmp_path / "run")])
+
+    def test_val_image_of_wrong_channel_count(self, tmp_path, capsys):
+        write_images(tmp_path / "data", n=2)
+        write_images(tmp_path / "val", n=1, channels=3)
+        assert self.run(tmp_path) == 3
+        assert "img0.ppm" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_data_image_of_wrong_channel_count(self, tmp_path, capsys):
+        write_images(tmp_path / "data", n=2)
+        write_images(tmp_path / "data", n=1, channels=3)
+        write_images(tmp_path / "val", n=1)
+        assert self.run(tmp_path) == 3
+        assert "img0.ppm" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_data_image_smaller_than_patch(self, tmp_path, capsys):
+        # sr x2 with 8-pixel patches takes 16x16 crops of the HQ image
+        write_images(tmp_path / "data", n=2, size=24)
+        small = procedural_texture(9, 12, 12)
+        save_image(small, str(tmp_path / "data" / "small.pgm"))
+        write_images(tmp_path / "val", n=1)
+        assert self.run(tmp_path, task="sr", scale=2, patch_size=8) == 3
+        err = capsys.readouterr().err
+        assert "small.pgm" in err and "12x12" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestTrainResume:
@@ -386,7 +459,11 @@ class TestGradcheckInspect:
     def test_gradcheck_exit_zero(self, capsys):
         rc = main(["gradcheck", "--tolerance", "1e-4"])
         assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        # the default model's second layer is shifted, so the masked
+        # attention backward is checked too
+        assert "rstb.0.stl.1.attn.bias_table" in out
 
     def test_gradcheck_impossible_tolerance(self, capsys):
         rc = main(["gradcheck", "--tolerance", "0"])

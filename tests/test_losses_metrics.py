@@ -5,7 +5,8 @@ import pytest
 
 from conftest import check_gradients
 from swinir.imageio import ImageBuffer
-from swinir.losses import LossConfig, charbonnier_loss, compute_loss, l1_loss, loss_for_task
+from swinir.losses import (DEFAULT_CHARBONNIER_EPS, charbonnier_loss, compute_loss,
+                           l1_loss, loss_for_task)
 from swinir.metrics import (SSIM_SIGMA, SSIM_WINDOW, eval_pair, psnr,
                             rgb_to_y, ssim)
 from swinir.tensor import Tensor
@@ -60,14 +61,17 @@ class TestCharbonnier:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             charbonnier_loss(Tensor(np.zeros(2)), Tensor(np.zeros(2)), eps=0.0)
-        with pytest.raises(ValueError):
-            LossConfig(kind="charbonnier", epsilon=-1.0)
 
     def test_task_binding(self):
-        assert loss_for_task("sr").kind == "l1"
-        assert loss_for_task("denoise").kind == "charbonnier"
-        assert loss_for_task("car").kind == "charbonnier"
-        assert loss_for_task("denoise").epsilon == 1e-3
+        assert loss_for_task("sr") == "l1"
+        assert loss_for_task("denoise") == "charbonnier"
+        assert loss_for_task("car") == "charbonnier"
+        # the kind trains at the default eps: the loss of a zero residual
+        zero = Tensor(np.zeros((2, 2)))
+        assert DEFAULT_CHARBONNIER_EPS == 1e-3
+        assert compute_loss("charbonnier", zero, zero).item() == pytest.approx(1e-3, rel=1e-12)
+        with pytest.raises(ValueError, match="unknown loss"):
+            compute_loss("l2", zero, zero)
 
 
 class TestPsnr:

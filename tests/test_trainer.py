@@ -7,10 +7,9 @@ import swinir.tensor as tensor_mod
 import swinir.train as train_mod
 from swinir.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from swinir.degrade import DegradationSpec, procedural_texture
-from swinir.losses import LossConfig
 from swinir.model import init_params, tiny_config
 from swinir.tensor import Tensor
-from swinir.train import (GradcheckReport, PairDataset, TrainConfig,
+from swinir.train import (ADAM_EPS, GradcheckReport, PairDataset, TrainConfig,
                           TrainState, TrainingDiverged, adam_step, gradcheck,
                           load_train_state, lr_at, make_validation_pairs,
                           save_train_state, train)
@@ -34,7 +33,7 @@ class TestAdam:
         before = {n: t.data.copy() for n, t in params.named()}
         for _, t in params.named():
             t.grad = np.zeros_like(t.data)
-        adam_step(params, state, lr=0.1, cfg=TrainConfig())
+        adam_step(params, state, lr=0.1)
         for n, t in params.named():
             np.testing.assert_array_equal(t.data, before[n])
 
@@ -48,9 +47,8 @@ class TestAdam:
             other.grad = None
         t.data[...] = 1.0
         t.grad = np.full_like(t.data, 2.0)
-        cfg = TrainConfig(lr=0.1)
-        adam_step(params, state, lr=0.1, cfg=cfg)
-        expected = 1.0 - 0.1 * (2.0 / (2.0 + cfg.eps))
+        adam_step(params, state, lr=0.1)
+        expected = 1.0 - 0.1 * (2.0 / (2.0 + ADAM_EPS))
         np.testing.assert_allclose(t.data, expected, rtol=1e-6)
         assert abs(float(t.data.flat[0]) - 0.9) < 1e-7
 
@@ -60,7 +58,7 @@ class TestAdam:
         before = {n: t.data.copy() for n, t in params.named()}
         for _, t in params.named():
             t.grad = np.ones_like(t.data)
-        adam_step(params, state, lr=0.0, cfg=TrainConfig())
+        adam_step(params, state, lr=0.0)
         for n, t in params.named():
             np.testing.assert_array_equal(t.data, before[n])
 
@@ -73,7 +71,7 @@ class TestAdam:
             t.grad = np.ones_like(t.data)
         named[2][1].grad[...] = np.nan
         with pytest.raises(TrainingDiverged):
-            adam_step(params, state, lr=0.1, cfg=TrainConfig())
+            adam_step(params, state, lr=0.1)
         for n, t in params.named():
             np.testing.assert_array_equal(t.data, before[n])
         assert state.step == 0
@@ -86,7 +84,7 @@ class TestAdam:
             for _ in range(4):
                 for _, t in params.named():
                     t.grad = rng.normal(size=t.shape).astype(np.float32)
-                adam_step(params, state, lr=1e-3, cfg=TrainConfig())
+                adam_step(params, state, lr=1e-3)
             return {n: t.data.copy() for n, t in params.named()}
 
         a, b = run(), run()
@@ -143,25 +141,34 @@ class TestTrainLoop:
         for n in pa:
             np.testing.assert_array_equal(pa[n], pb[n])
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
+    def test_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
         cfg = toy_sr_config()
-        ds = toy_dataset(4)
-        # empty milestones so the lr schedule does not depend on the total
-        straight_cfg = TrainConfig(iterations=6, val_period=3, batch_size=2,
-                                   patch_size=8, seed=4, milestones=())
-        res_a = train(cfg, straight_cfg, toy_dataset(4), [],
-                      out_dir=str(tmp_path / "a"))
+        tcfg = TrainConfig(iterations=6, val_period=3, batch_size=2,
+                           patch_size=8, seed=4)
+        res_a = train(cfg, tcfg, toy_dataset(4), [], out_dir=str(tmp_path / "a"))
 
-        half_cfg = TrainConfig(iterations=3, val_period=3, batch_size=2,
-                               patch_size=8, seed=4, milestones=())
-        train(cfg, half_cfg, toy_dataset(4), [], out_dir=str(tmp_path / "b"))
-        res_b = train(cfg, straight_cfg, toy_dataset(4), [],
-                      out_dir=str(tmp_path / "b2"),
+        # the same run, stopped just after its step-3 last.ckpt write
+        real_save = train_mod.save_train_state
+
+        def save_then_stop(params, state, path):
+            real_save(params, state, path)
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(train_mod, "save_train_state", save_then_stop)
+        with pytest.raises(RuntimeError, match="stopped"):
+            train(cfg, tcfg, toy_dataset(4), [], out_dir=str(tmp_path / "b"))
+        monkeypatch.setattr(train_mod, "save_train_state", real_save)
+        assert load_train_state(str(tmp_path / "b" / "last.ckpt"))[1].step == 3
+        res_b = train(cfg, tcfg, toy_dataset(4), [], out_dir=str(tmp_path / "b2"),
                       resume=str(tmp_path / "b" / "last.ckpt"))
 
-        for (na, ta), (nb, tb) in zip(res_a.params.named(), res_b.params.named()):
+        assert res_b.losses == res_a.losses[3:]
+        for (na, ta), (nb, tb) in zip(res_a.params.named(), res_b.params.named(),
+                                      strict=True):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
+        assert (tmp_path / "a" / "last.ckpt").read_bytes() == \
+            (tmp_path / "b2" / "last.ckpt").read_bytes()
 
     def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path, monkeypatch):
         cfg = toy_sr_config()
