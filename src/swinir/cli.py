@@ -24,7 +24,7 @@ from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
 from .metrics import SSIM_MIN_SIDE, eval_pair
 from .model import SwinIRConfig, tiny_config
 from .train import (PairDataset, TrainConfig, gradcheck,
-                    make_validation_pairs, restore_image, train)
+                    make_validation_pairs, psnr_border, restore_image, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,6 +208,12 @@ def cmd_train(args) -> int:
         if min(img.height, img.width) < side:
             raise CliError(f"{path}: {img.height}x{img.width} is smaller than the "
                            f"{side}x{side} training patch", EXIT_DATA)
+    # validation trims to a multiple of the scale, then crops the border
+    border = psnr_border(model_cfg)
+    for path, img in val:
+        if min(img.height, img.width) // model_cfg.scale * model_cfg.scale <= 2 * border:
+            raise CliError(f"{path}: {img.height}x{img.width} leaves no pixels "
+                           f"inside the psnr border of {border}", EXIT_DATA)
     dataset = PairDataset(hq_images=[img for _, img in hq], spec=spec)
     val_pairs = make_validation_pairs([img for _, img in val], spec)
     result = train(model_cfg, train_cfg, dataset, val_pairs, out_dir=args.out,
@@ -317,7 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training images dir or manifest")
     p.add_argument("--val", help="validation images dir or manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--iterations", type=int, help="override config iterations")
+    p.add_argument("--iterations", type=int,
+                   help="override config iterations; the learning-rate "
+                        "halvings follow this count, so a resumed run matches "
+                        "an uninterrupted one only with the same iterations")
     p.add_argument("--resume", help="last.ckpt of an earlier run to resume "
                                     "from; its model config must match")
     p.add_argument("--seed", type=int)

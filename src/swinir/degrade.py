@@ -12,6 +12,7 @@ Everything here is a deterministic function of (input, spec, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,11 +65,13 @@ def _keys(x: np.ndarray) -> np.ndarray:
     return np.where(ax <= 1.0, near, np.where(ax < 2.0, far, 0.0))
 
 
+@lru_cache(maxsize=8)
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """[n_out, n_in] row-stochastic cubic interpolation weights.
 
     Downscaling widens the kernel support by in/out (antialiasing);
-    out-of-range taps clamp to the edge sample.
+    out-of-range taps clamp to the edge sample. Read-only and cached for
+    the last few sizes only: a matrix is dense, 8·n_in·n_out bytes.
     """
     ratio = n_in / n_out
     width = max(1.0, ratio)
@@ -80,7 +83,9 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
         j = lo + t
         w = _keys((j - centers) / width) / width
         np.add.at(mat, (np.arange(n_out), np.clip(j, 0, n_in - 1)), w)
-    return mat / mat.sum(axis=1, keepdims=True)
+    mat /= mat.sum(axis=1, keepdims=True)
+    mat.setflags(write=False)
+    return mat
 
 
 def bicubic_resize(img: ImageBuffer, out_h: int, out_w: int) -> ImageBuffer:
@@ -192,23 +197,27 @@ def _augment(arr: np.ndarray, flip: bool, rot: int) -> np.ndarray:
     return np.rot90(arr, rot)
 
 
-def sample_patch_pair(hq_img: ImageBuffer, spec: DegradationSpec, patch: int,
-                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned (lq, hq) float32 crops with identical flip/rotation.
-
-    The whole image is degraded first, then the lq crop of size patch and
-    the hq crop of size patch*r are taken at corresponding positions.
-    """
+def degrade_pair(hq_img: ImageBuffer,
+                 spec: DegradationSpec) -> tuple[ImageBuffer, ImageBuffer]:
+    """(lq, hq): the image trimmed to a multiple of the downscale factor, so
+    the lq and hq grids align exactly, and its degradation."""
     r = spec.scale if spec.kind == "bicubic" else 1
-    if hq_img.height < patch * r or hq_img.width < patch * r:
-        raise ValueError(
-            f"image {hq_img.height}x{hq_img.width} smaller than {patch * r} patch")
-    # trim to a scale multiple so lq and hq grids align exactly
     th = (hq_img.height // r) * r
     tw = (hq_img.width // r) * r
-    hq = ImageBuffer(hq_img.data[:th, :tw].copy(), color=hq_img.color)
-    lq = degrade_image(hq, spec)
+    hq = hq_img if (th, tw) == (hq_img.height, hq_img.width) else \
+        ImageBuffer(hq_img.data[:th, :tw], color=hq_img.color)
+    return degrade_image(hq, spec), hq
 
+
+def crop_pair(lq: ImageBuffer, hq: ImageBuffer, patch: int,
+              seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned (lq, hq) float32 crops of a ``degrade_pair`` result, with
+    identical flip/rotation: an lq crop of size patch and the hq crop of
+    size patch*r at the corresponding position, all drawn from ``seed``."""
+    r = hq.height // lq.height
+    if lq.height < patch or lq.width < patch:
+        raise ValueError(
+            f"image {hq.height}x{hq.width} smaller than {patch * r} patch")
     rng = SplitMix64(seed)
     max_y = lq.height - patch
     max_x = lq.width - patch
@@ -221,6 +230,13 @@ def sample_patch_pair(hq_img: ImageBuffer, spec: DegradationSpec, patch: int,
     hq_patch = hq.data[y * r:(y + patch) * r, x * r:(x + patch) * r]
     return (np.ascontiguousarray(_augment(lq_patch, flip, rot)),
             np.ascontiguousarray(_augment(hq_patch, flip, rot)))
+
+
+def sample_patch_pair(hq_img: ImageBuffer, spec: DegradationSpec, patch: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned (lq, hq) float32 crops: the whole image is degraded first
+    (``degrade_pair``), then cropped (``crop_pair``)."""
+    return crop_pair(*degrade_pair(hq_img, spec), patch, seed)
 
 
 # -- procedural textures ----------------------------------------------------

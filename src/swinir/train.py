@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
-from .degrade import DegradationSpec, degrade_image, sample_patch_pair
+from .degrade import DegradationSpec, crop_pair, degrade_pair
 from .imageio import ImageBuffer
 from .losses import compute_loss, loss_for_task
 from .metrics import psnr
@@ -110,13 +110,30 @@ def adam_step(params: ModelParams, state: TrainState, lr: float) -> None:
 
 @dataclass
 class PairDataset:
-    """High-quality images plus the degradation that synthesizes inputs."""
+    """High-quality images plus the degradation that synthesizes inputs.
+
+    A deterministic degradation (bicubic, DCT) runs at most once per image:
+    the trimmed (lq, hq) pair is kept from the first draw of the image and
+    every later crop comes from it. Gaussian noise is drawn afresh for each
+    crop, so it degrades per crop.
+    """
     hq_images: List[ImageBuffer]
     spec: DegradationSpec
+    _pairs: Dict[int, Tuple[ImageBuffer, ImageBuffer]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.hq_images:
             raise ValueError("dataset is empty")
+
+    def _pair(self, index: int, crop_seed: int) -> Tuple[ImageBuffer, ImageBuffer]:
+        if self.spec.kind == "gaussian_noise":
+            # fresh noise per crop, still a pure function of the seeds
+            return degrade_pair(self.hq_images[index],
+                                self.spec.for_item(crop_seed, 0xA01))
+        if index not in self._pairs:
+            self._pairs[index] = degrade_pair(self.hq_images[index], self.spec)
+        return self._pairs[index]
 
     def sample_batch(self, cfg: TrainConfig, rng: SplitMix64,
                      step: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -124,10 +141,8 @@ class PairDataset:
         idx = rng.integers(cfg.batch_size, 0, len(self.hq_images))
         for slot in range(cfg.batch_size):
             crop_seed = derive(int(rng.u64(1)[0]), step, slot)
-            # fresh noise per crop, still a pure function of the seeds
-            spec = self.spec.for_item(crop_seed, 0xA01)
-            lq, hq = sample_patch_pair(self.hq_images[int(idx[slot])], spec,
-                                       cfg.patch_size, crop_seed)
+            lq, hq = crop_pair(*self._pair(int(idx[slot]), crop_seed),
+                               cfg.patch_size, crop_seed)
             lqs.append(np.moveaxis(lq, 2, 0))
             hqs.append(np.moveaxis(hq, 2, 0))
         return np.stack(lqs), np.stack(hqs)
@@ -135,7 +150,9 @@ class PairDataset:
 
 def make_validation_pairs(hq_images: Sequence[ImageBuffer],
                           spec: DegradationSpec) -> List[Tuple[ImageBuffer, ImageBuffer]]:
-    return [(degrade_image(hq, spec.for_item(spec.seed, 0x7A1, i)), hq)
+    """(lq, hq) per image; hq is trimmed to a multiple of the scale, as
+    training crops are, so the restored image matches it in size."""
+    return [degrade_pair(hq, spec.for_item(spec.seed, 0x7A1, i))
             for i, hq in enumerate(hq_images)]
 
 
@@ -146,6 +163,12 @@ def restore_image(params: ModelParams, lq: ImageBuffer) -> ImageBuffer:
         y = forward(params, x)
     arr = np.clip(np.moveaxis(y.data[0], 0, 2), 0.0, 1.0)
     return ImageBuffer(arr.astype(np.float32), color=lq.color)
+
+
+def psnr_border(cfg: SwinIRConfig) -> int:
+    """Pixels cropped from each side before validation PSNR: the scale for
+    super-resolution, none otherwise."""
+    return cfg.scale if cfg.task == "sr" else 0
 
 
 def validation_psnr(params: ModelParams,
@@ -190,7 +213,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     """
     model_cfg.validate()
     loss_kind = loss_for_task(model_cfg.task)
-    border = model_cfg.scale if model_cfg.task == "sr" else 0
+    border = psnr_border(model_cfg)
 
     if resume:
         params, state = load_train_state(resume)

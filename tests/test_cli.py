@@ -277,6 +277,27 @@ class TestTrainImageChecks:
         assert not (tmp_path / "run").exists()
 
 
+    def test_val_side_not_a_multiple_of_scale(self, tmp_path, capsys):
+        # validation trims 25x25 to 24x24, the side the x2 model restores
+        write_images(tmp_path / "data", n=2, size=24)
+        write_images(tmp_path / "val", n=1, size=25)
+        assert self.run(tmp_path, task="sr", scale=2, patch_size=8,
+                        iterations=2, val_period=1) == 0
+        log = (tmp_path / "run" / "metrics.log").read_text().splitlines()
+        assert [line.split()[:2] for line in log] == [["step", "1"], ["step", "2"]]
+        capsys.readouterr()
+
+    def test_val_image_inside_psnr_border(self, tmp_path, capsys):
+        # 5x9 trims to 4x8 at x2; a border of 2 leaves no row to score
+        write_images(tmp_path / "data", n=2, size=24)
+        (tmp_path / "val").mkdir()
+        save_image(procedural_texture(9, 5, 9), str(tmp_path / "val" / "thin.pgm"))
+        assert self.run(tmp_path, task="sr", scale=2, patch_size=8) == 3
+        err = capsys.readouterr().err
+        assert "thin.pgm" in err and "5x9" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestTrainResume:
     def train(self, tmp_path, out, *extra, **overrides):
         write_images(tmp_path / "data", n=2)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dctn
 
-from swinir.degrade import (DegradationSpec, _keys, add_gaussian_noise,
+from swinir.degrade import (DegradationSpec, _keys, _resize_matrix,
+                            add_gaussian_noise,
                             bicubic_resize, dct_quantize_degrade,
                             degrade_image, procedural_texture, quant_table,
                             sample_patch_pair)
@@ -105,6 +106,18 @@ class TestBicubic:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             bicubic_resize(ImageBuffer(np.zeros((4, 4, 1), dtype=np.float32)), 0, 4)
+
+    @pytest.mark.parametrize("n_in,n_out", [(96, 48), (97, 32), (25, 12),
+                                            (12, 25), (5, 17), (9, 9)])
+    def test_resize_matrix_cached_read_only(self, n_in, n_out):
+        cached = _resize_matrix(n_in, n_out)
+        assert _resize_matrix(n_in, n_out) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+        fresh = _resize_matrix.__wrapped__(n_in, n_out)
+        assert fresh is not cached
+        np.testing.assert_array_equal(cached, fresh)
 
 
 class TestGaussianNoise:

@@ -1,13 +1,17 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import swinir.degrade as degrade_mod
 import swinir.tensor as tensor_mod
 import swinir.train as train_mod
 from swinir.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from swinir.degrade import DegradationSpec, procedural_texture
+from swinir.degrade import DegradationSpec, procedural_texture, sample_patch_pair
 from swinir.model import init_params, tiny_config
+from swinir.rng import SplitMix64, derive
 from swinir.tensor import Tensor
 from swinir.train import (ADAM_EPS, GradcheckReport, PairDataset, TrainConfig,
                           TrainState, TrainingDiverged, adam_step, gradcheck,
@@ -101,6 +105,81 @@ class TestSchedule:
         assert lr_at(cfg, 750) == 2e-4
         assert lr_at(cfg, 900) == 1e-4
         assert lr_at(cfg, 999) == 1e-4
+
+
+SPECS = {
+    "bicubic": DegradationSpec(kind="bicubic", scale=2),
+    "dct": DegradationSpec(kind="dct_quantize", quality=30),
+    "noise": DegradationSpec(kind="gaussian_noise", sigma=25.0, seed=3),
+}
+BATCH = TrainConfig(batch_size=4, patch_size=8)
+
+
+def mixed_dataset(spec):
+    # the last image is no multiple of the scale: it trims to 96x94 at x2
+    imgs = [procedural_texture(200 + i, 32, 32) for i in range(3)]
+    imgs.append(procedural_texture(210, 97, 95))
+    return PairDataset(hq_images=imgs, spec=spec)
+
+
+class TestPairDataset:
+    def count_degrades(self, kind, monkeypatch):
+        """Calls of degrade_image per distinct input over 20 batches."""
+        real = degrade_mod.degrade_image
+        seen = Counter()
+
+        def spy(img, spec):
+            seen[hashlib.sha256(img.data.tobytes()).hexdigest()] += 1
+            return real(img, spec)
+
+        monkeypatch.setattr(degrade_mod, "degrade_image", spy)
+        ds, rng = mixed_dataset(SPECS[kind]), SplitMix64(5)
+        for step in range(20):
+            ds.sample_batch(BATCH, rng, step)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["bicubic", "dct"])
+    def test_deterministic_degradation_runs_once_per_image(self, kind, monkeypatch):
+        seen = self.count_degrades(kind, monkeypatch)
+        assert len(seen) == 4 and set(seen.values()) == {1}
+
+    def test_noise_degrades_every_crop(self, monkeypatch):
+        seen = self.count_degrades("noise", monkeypatch)
+        assert sum(seen.values()) == 20 * BATCH.batch_size
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_batches_equal_per_crop_sampling(self, kind):
+        ds = mixed_dataset(SPECS[kind])
+        rng, ref_rng = SplitMix64(5), SplitMix64(5)
+        drawn = set()
+        for step in range(20):
+            lq, hq = ds.sample_batch(BATCH, rng, step)
+            idx = ref_rng.integers(BATCH.batch_size, 0, len(ds.hq_images))
+            for slot in range(BATCH.batch_size):
+                crop_seed = derive(int(ref_rng.u64(1)[0]), step, slot)
+                ref_lq, ref_hq = sample_patch_pair(
+                    ds.hq_images[int(idx[slot])], ds.spec.for_item(crop_seed, 0xA01),
+                    BATCH.patch_size, crop_seed)
+                np.testing.assert_array_equal(lq[slot], np.moveaxis(ref_lq, 2, 0))
+                np.testing.assert_array_equal(hq[slot], np.moveaxis(ref_hq, 2, 0))
+            drawn.update(int(i) for i in idx)
+        assert rng.state == ref_rng.state
+        assert 3 in drawn     # the 97x95 image
+
+    @pytest.mark.parametrize("task,spec", [
+        ("denoise", DegradationSpec(kind="gaussian_noise", sigma=30.0, seed=2)),
+        ("car", DegradationSpec(kind="dct_quantize", quality=20))])
+    def test_rerun_writes_same_last_ckpt(self, tmp_path, task, spec):
+        cfg = tiny_config(task=task, stl_per_rstb=2)
+        tcfg = TrainConfig(iterations=3, val_period=3, batch_size=2,
+                           patch_size=8, seed=6)
+        blobs = []
+        for run in ("a", "b"):
+            ds = toy_dataset(3, spec=spec)
+            val = make_validation_pairs(ds.hq_images[:1], spec)
+            train(cfg, tcfg, ds, val, out_dir=str(tmp_path / run))
+            blobs.append((tmp_path / run / "last.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestTrainLoop:
