@@ -133,6 +133,36 @@ def _gather_inputs(path: str) -> list[str]:
     return [path]
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Refuse, before any work, an output that cannot be written: a file
+    needs an existing, writable directory and must not be a directory
+    itself; a directory must be one already or be creatable under its
+    nearest existing ancestor. Creates nothing."""
+    if directory:
+        target = os.path.abspath(path)
+        while not os.path.exists(target):
+            target = os.path.dirname(target)
+    elif os.path.isdir(path):
+        raise CliError(f"cannot write {path}: it is a directory", EXIT_DATA)
+    else:
+        target = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(target):
+        raise CliError(f"cannot write {path}: {target} is not a directory", EXIT_DATA)
+    if not os.access(target, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: {target} is not writable", EXIT_DATA)
+
+
+def _inputs_and_out(args) -> tuple[list[str], bool]:
+    """The image paths --in names, and whether --out is a directory (for
+    a directory or several inputs), checked and then created."""
+    inputs = _gather_inputs(getattr(args, "in"))
+    many = len(inputs) > 1 or os.path.isdir(getattr(args, "in"))
+    _check_out(args.out, directory=many)
+    if many:
+        os.makedirs(args.out, exist_ok=True)
+    return inputs, many
+
+
 def _read(load, path: str):
     """``load(path)``; a file that cannot be read or parsed is a data error."""
     try:
@@ -174,10 +204,7 @@ def cmd_degrade(args) -> int:
     spec = _task_degradation(args.task, args.scale, args.sigma, args.quality, seed)
     print(f"degradation: {spec.describe()}")
 
-    inputs = _gather_inputs(getattr(args, "in"))
-    many = len(inputs) > 1 or os.path.isdir(getattr(args, "in"))
-    if many:
-        os.makedirs(args.out, exist_ok=True)
+    inputs, many = _inputs_and_out(args)
     for i, path in enumerate(inputs):
         out_img = degrade_image(_read(load_image, path), spec.for_item(seed, i))
         dest = os.path.join(args.out, os.path.basename(path)) if many else args.out
@@ -194,6 +221,7 @@ def cmd_train(args) -> int:
     if args.iterations is not None:
         values["iterations"] = args.iterations
     model_cfg, train_cfg = build_configs(values)
+    _check_out(args.out, directory=True)
     strength = {**CONFIG_KEYS["degradation"], **values}
     spec = _task_degradation(model_cfg.task, model_cfg.scale, strength["sigma"],
                              strength["quality"], train_cfg.seed)
@@ -225,10 +253,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     params = load_checkpoint(args.ckpt)
-    inputs = _gather_inputs(getattr(args, "in"))
-    many = len(inputs) > 1 or os.path.isdir(getattr(args, "in"))
-    if many:
-        os.makedirs(args.out, exist_ok=True)
+    inputs, many = _inputs_and_out(args)
     for path in inputs:
         restored = _restore(params, _read(load_image, path), path)
         dest = os.path.join(args.out, os.path.basename(path)) if many else args.out

@@ -21,8 +21,8 @@ import numpy as np
 from .attention import (MlpParams, StlParams, WindowAttentionParams,
                         relative_position_index, stl_forward)
 from .rng import SplitMix64
-from .tensor import Tensor, conv2d, gelu, permute, pixel_shuffle
-from .windows import WindowGrid, crop_to, pad_to_multiple
+from .tensor import Tensor, conv2d, gelu, permute, pixel_shuffle, reshape
+from .windows import WindowGrid, crop_to, pad_to_multiple, reorder
 
 TASKS = ("sr", "denoise", "car")
 HEAD_STYLES = ("staged", "direct")
@@ -281,12 +281,22 @@ def shallow_extract(x: Tensor, params: ModelParams) -> Tensor:
 
 def rstb_forward(x: Tensor, block: RstbParams, window: int,
                  residual: bool = True) -> Tensor:
-    """L transformer layers (padded window pass), 3x3 conv, block residual."""
+    """L transformer layers (padded window pass), 3x3 conv, block residual.
+
+    The layers take the padded tokens as rows of [N, H*W, C], each in the
+    window order of its own shift: one row gather before every layer whose
+    order differs from the last one's, and one back to image order."""
     t = permute(x, 0, 2, 3, 1)
     t, (h, w) = pad_to_multiple(t, window)
-    grid = WindowGrid(t.shape[1], t.shape[2], window)
+    n, hp, wp, c = t.shape
+    grid = WindowGrid(hp, wp, window)
+    t = reshape(t, n, hp * wp, c)
+    order = None
     for stl in block.stls:
+        t = reorder(t, grid, order, stl.shift)
+        order = stl.shift
         t = stl_forward(t, stl, grid)
+    t = reshape(reorder(t, grid, order, None), n, hp, wp, c)
     t = crop_to(t, h, w)
     t = permute(t, 0, 3, 1, 2)
     t = conv2d(t, block.conv.w, block.conv.b, padding=1)

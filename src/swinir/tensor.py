@@ -324,6 +324,20 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     return _make(np.ascontiguousarray(np.take(a.data, idx, axis=axis)), (a,), backward)
 
 
+def gather_rows(a: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """Rows of [N, L, C] in a new order: out[:, r] = a[:, index[r]].
+
+    ``index`` is a permutation of range(L) and ``inverse`` its inverse, so
+    backward is the inverse gather: every row moves once, and nothing is
+    summed or scattered."""
+    a = _wrap(a)
+
+    def backward(g):
+        a._accumulate(np.take(g, inverse, axis=1))
+
+    return _make(np.take(a.data, index, axis=1), (a,), backward)
+
+
 def roll(a: Tensor, shifts: Tuple[int, ...], axes: Tuple[int, ...]) -> Tensor:
     a = _wrap(a)
 
@@ -520,9 +534,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return _make(out, parents, backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
+               eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to zero mean / unit variance, then scale
-    and shift. Population (biased) variance.
+    by ``gamma`` and shift by ``beta`` unless they are None. Population
+    (biased) variance.
+
+    The model passes None: its γ and β enter the product that follows
+    (``attention.fold_norm``), so the kernel makes no pass for them; a
+    given affine is applied with the ``mul`` and ``add`` ops.
 
     Runs over blocks of rows (``_blocks``), every pass over a block while it
     is in cache. The row mean and the row sum of squares are einsum
@@ -530,19 +550,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     reductions over short rows. They are not BLAS products (x @ ones):
     BLAS was faster still, but its row sums changed with the number of
     rows in a block, so the output would depend on the block budget. The
-    taped path keeps the normalized rows for backward; without a tape they
-    are formed in the output buffer."""
+    normalized rows are the output, and backward reads them."""
     x = _wrap(x)
     c = x.shape[-1]
     if c == 0:
         raise ValueError("layer_norm: empty normalization axis")
     x2 = x.data.reshape(-1, c)
     out = np.empty_like(x2)
-    xhat = np.empty_like(x2) if _taped((x, gamma, beta)) else out
     inv = np.empty((len(x2), 1), dtype=x2.dtype)
     weights = np.full(c, 1.0 / c, dtype=x2.dtype)
-    for rows in _blocks(len(x2), 3 * c * x2.itemsize):
-        xb, hb, ib = x2[rows], xhat[rows], inv[rows]
+    for rows in _blocks(len(x2), 2 * c * x2.itemsize):
+        xb, hb, ib = x2[rows], out[rows], inv[rows]
         np.subtract(xb, np.einsum("ij,j->i", xb, weights)[:, None], out=hb)
         np.einsum("ij,ij->i", hb, hb, out=ib[:, 0])
         ib *= 1.0 / c
@@ -550,40 +568,42 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         np.sqrt(ib, out=ib)
         np.divide(1.0, ib, out=ib)
         hb *= ib
-        ob = out[rows]
-        np.multiply(hb, gamma.data, out=ob)
-        ob += beta.data
-    xhat = xhat.reshape(x.shape)
+    xhat = out.reshape(x.shape)
     inv = inv.reshape(*x.shape[:-1], 1)
 
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        gamma._accumulate((g * xhat).sum(axis=lead))
-        beta._accumulate(g.sum(axis=lead))
-        gx = g * gamma.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (gx - m1 - xhat * m2))
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * xhat).mean(axis=-1, keepdims=True)
+        x._accumulate(inv * (g - m1 - xhat * m2))
 
-    return _make(out.reshape(x.shape), (x, gamma, beta), backward)
+    out = _make(xhat, (x,), backward)
+    if gamma is None:
+        return out
+    return add(mul(out, gamma), beta)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# erf(x) = x P(t) / Q(t), t = x^2, on |x| <= 2.5, coefficients from t^0 up:
-# a Lawson-weighted least-squares fit for relative error (1.1e-9 in
-# float64), scaled so that P(0) and Q(0) are the integers 328663 and
-# 291270. float32 holds both exactly and their ratio is 2/sqrt(pi) to
-# 3e-13; with 2/sqrt(pi) itself rounded to float32, every small result
-# would be scaled by 1 + 5.2e-8, a bias that deep models add up.
-_ERF_P = tuple(328663.0 * a for a in (
-    1.0, 0.1416797759294483, 0.03942011854654085, 0.0018236401948967154,
-    8.620177875240694e-05, -1.0858596691901203e-06))
-_ERF_Q = tuple(291270.0 * b for b in (
-    1.0, 0.47501307769990936, 0.09775809752899423, 0.010716985919442704,
-    0.000564358600403467))
-_ERF_RATIONAL_TO = 2.5
+# float32 erf(x / sqrt 2) = tanh(u), u = y S(min(y^2, (6.5 _CDF_SCALE)^2)),
+# y = _CDF_SCALE x. S has degree 6 in y^2, coefficients from y^0 up: the
+# float32 values of a minimax fit (a linear program) for the relative error
+# of tanh(u), constrained so that its mean over N(0, sigma^2) inputs stays
+# within 4e-9 for sigma = 0.028, 0.071, 0.28 and 1.41, where GELU's inputs
+# sit and where a model adds up any bias over its layers. In float64 the
+# relative error is at most 1.7e-7, so |Phi error| is at most 8.6e-8.
+# _CDF_SCALE * S(0) is sqrt(2/pi) to 1e-12; a lone float32 S(0) would be
+# 2.8e-8 high, a bias on every small input, so the product by _CDF_SCALE is
+# the one pass this costs. At |x| = 6.5 u = 12.4, where float32 tanh is
+# exactly +-1, and |u| only grows beyond, so Phi is exactly 0 and 1 there.
+# Bounding y^2 rather than clipping x gives the same values: np.minimum is
+# half the cost of np.clip, and a y^2 that overflows to inf is bounded too.
+_CDF_CLIP = 6.5
+_CDF_SCALE = 1.0034637451171875
+_CDF_T_MAX = (_CDF_CLIP * _CDF_SCALE) ** 2
+_CDF_S = (0.7951304316520691, 0.035960353910923004, -3.474223194643855e-05,
+          -5.281210542307235e-05, 3.628205831773812e-06,
+          -1.1040672376338989e-07, 1.2153292816563521e-09)
 
 
 def _horner(coeffs, t: np.ndarray) -> np.ndarray:
@@ -595,37 +615,27 @@ def _horner(coeffs, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _erf_rational(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c P(c^2) / Q(c^2) into ``out`` (which may be ``c``)."""
-    t = c * c
-    p = _horner(_ERF_P, t)
-    p *= c
-    return np.divide(p, _horner(_ERF_Q, t), out=out)
+def _erf_over_sqrt2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf(x / sqrt 2) = 2 Phi(x) - 1 into ``out`` (which may be ``x``),
+    any layout.
 
-
-def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """erf(x) into ``out`` (which may be ``x``), any layout.
-
-    float64 takes scipy's erf. float32 takes the rational ``_erf_rational``
-    on clip(x, -2.5, 2.5), 2-3x faster than scipy's float32 erf on N(0, 1)
-    inputs, and scipy's float64 erf for the few elements beyond 2.5 (also
-    +-inf; NaN stays NaN). Within 3.1e-7 of float64 erf on [-10, 10], all
-    of it float32 rounding, and unbiased near 0, where GELU's inputs sit
-    and where a rational fitted for absolute error runs low."""
+    float64 takes scipy's erf. float32 takes tanh(u) as set out above: 17
+    elementwise passes, within 2.3e-7 of float64 on [-10, 10]; NaN stays
+    NaN and +-inf give +-1."""
     if x.dtype != np.float32:
-        return erf(x, out=out)
-    far = np.abs(x) > _ERF_RATIONAL_TO
-    xf = x[far].astype(np.float64)
-    c = np.clip(x, -_ERF_RATIONAL_TO, _ERF_RATIONAL_TO, out=out)
-    _erf_rational(c, out)
-    out[far] = erf(xf)
-    return out
+        np.multiply(x, _INV_SQRT2, out=out)
+        return erf(out, out=out)
+    with np.errstate(over="ignore"):      # huge |x|: inf, which tanh maps to +-1
+        y = np.multiply(x, _CDF_SCALE, out=out)
+        t = y * y
+        u = _horner(_CDF_S, np.minimum(t, _CDF_T_MAX, out=t))
+        u *= y
+    return np.tanh(u, out=out)
 
 
 def _normal_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2 into ``out``; GELU is x Phi(x)."""
-    np.multiply(x, _INV_SQRT2, out=out)
-    _erf(out, out)
+    _erf_over_sqrt2(x, out)
     out += 1.0
     out *= 0.5
     return out
@@ -643,10 +653,10 @@ def gelu(x: Tensor) -> Tensor:
     """Exact error-function GELU, x * Phi(x) = x (1 + erf(x / sqrt 2)) / 2,
     over blocks of elements.
 
-    float32 takes erf from ``_erf``'s rational approximation, within 3.1e-7
-    of float64 erf, so that float32 GELU and its derivative stay within
-    1e-6 of their float64 values on [-10, 10]. float64 keeps scipy's erf,
-    so gradient checks keep float64 accuracy."""
+    float32 takes erf from ``_erf_over_sqrt2``'s tanh form, so that float32
+    GELU and its derivative stay within 1e-6 of their float64 values on
+    [-10, 10]. float64 keeps scipy's erf, so gradient checks keep float64
+    accuracy."""
     x = _wrap(x)
     flat = x.data.reshape(-1)
     out = np.empty_like(flat)
@@ -691,14 +701,15 @@ def _skips_max(qkv: np.ndarray, bias: np.ndarray, d: int) -> bool:
 
 
 def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
-    """Fused multi-head attention core over [nW, m^2, 3C] windows.
+    """Fused multi-head attention core over windows of m^2 rows.
 
-    ``qkv`` holds Q (already scaled by 1/sqrt(d)), K and V side by side,
-    each split into heads by contiguous channel chunks; ``bias`` is
-    [heads, key, query]; ``mask`` is None or a ``windows.AttnMask``,
-    -inf only on boundary windows, whose slots repeat over the batch.
-    Returns softmax(Q K^T + B + mask) V with heads concatenated,
-    [nW, m^2, C].
+    ``qkv`` is [..., 3C], window-ordered rows ([nW, m^2, 3C] or any
+    leading shape with m^2 consecutive rows per window), and holds Q
+    (already scaled by 1/sqrt(d)), K and V side by side, each split into
+    heads by contiguous channel chunks; ``bias`` is [heads, key, query];
+    ``mask`` is None or a ``windows.AttnMask``, -inf only on boundary
+    windows, whose slots repeat over the batch. Returns softmax(Q K^T + B +
+    mask) V with heads concatenated, [..., C].
 
     Windows run in blocks (``_blocks``) sized so that a block's scores,
     [windows, heads, key, query], stay in cache from Q K^T to the output.
@@ -731,8 +742,11 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     FlashAttention; dQ = dS^T K, dK = dS Q and dB = dS summed over windows.
     """
     qkv = _wrap(qkv)
-    nw, mm, c3 = qkv.shape
-    heads = bias.shape[0]
+    heads, mm = bias.shape[0], bias.shape[-1]
+    c3 = qkv.shape[-1]
+    if qkv.size % (mm * c3):
+        raise ValueError(f"{qkv.size // c3} rows do not make windows of {mm} tokens")
+    nw = qkv.size // (mm * c3)
     c = c3 // 3
     d = c // heads
     if mask is not None and nw % len(mask.slots):
@@ -785,7 +799,7 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
         qkv._accumulate(grad)
         bias._accumulate(ds.sum(axis=0))
 
-    return _make(out, (qkv, bias), backward)
+    return _make(out.reshape(*qkv.shape[:-1], c), (qkv, bias), backward)
 
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:

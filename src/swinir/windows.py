@@ -1,19 +1,24 @@
-"""Window partition/reverse, cyclic shift, padding, and attention masks.
+"""Window order, padding, and attention masks.
 
-Features move through the attention layers as [N, H, W, C] tensors. A
-window pass reshapes that into HW/M^2 groups of M^2 tokens; both the
-window order over the tile grid and the token order inside a window are
-row-major, and the relative-position bias tables depend on that choice.
+A window pass groups the H x W tokens of a (cyclically shifted) image
+into HW/M^2 windows of M^2 tokens; both the window order over the tile
+grid and the token order inside a window are row-major, and the
+relative-position bias tables depend on that choice. Inside a residual
+block the tokens stay rows of [N, H*W, C] in the window order of the
+current layer's shift, and ``reorder`` moves them to the next layer's
+order with one row gather. ``cyclic_shift``, ``window_partition``,
+``window_reverse`` and ``unshift`` spell out the same order on
+[N, H, W, C] images.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .tensor import Tensor, getitem, permute, reshape, roll, take
+from .tensor import Tensor, gather_rows, getitem, permute, reshape, roll, take
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,45 @@ def unshift(x: Tensor, s: int) -> Tensor:
     if s == 0:
         return x
     return roll(x, (s, s), axes=(1, 2))
+
+
+def _window_rows(grid: WindowGrid, s: Optional[int]) -> np.ndarray:
+    """Image-order (row-major) index of each row in the window order of
+    shift ``s``, the order of ``window_partition(cyclic_shift(x, s), m)``;
+    None stands for image order."""
+    h, w, m = grid.height, grid.width, grid.window
+    if s is None:
+        return np.arange(h * w)
+    rows = (np.arange(h) + s) % h
+    cols = (np.arange(w) + s) % w
+    image = rows[:, None] * w + cols
+    return image.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1)
+
+
+@lru_cache(maxsize=64)
+def row_gather(grid: WindowGrid, src: Optional[int],
+               dst: Optional[int]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(index, inverse) for ``tensor.gather_rows`` that take the rows of
+    ``grid`` from order ``src`` to order ``dst``, each a shift (window
+    order) or None (image order); None when the two orders agree. Cached,
+    read-only."""
+    a, b = _window_rows(grid, src), _window_rows(grid, dst)
+    if np.array_equal(a, b):
+        return None
+    inv_a, inv_b = np.empty_like(a), np.empty_like(b)
+    inv_a[a] = inv_b[b] = np.arange(a.size)
+    index, inverse = inv_a[b], inv_b[a]
+    for part in (index, inverse):
+        part.setflags(write=False)
+    return index, inverse
+
+
+def reorder(x: Tensor, grid: WindowGrid, src: Optional[int],
+            dst: Optional[int]) -> Tensor:
+    """Rows of [N, H*W, C] from order ``src`` to order ``dst`` (see
+    ``row_gather``): one gather, or none."""
+    perm = row_gather(grid, src, dst)
+    return x if perm is None else gather_rows(x, *perm)
 
 
 class AttnMask(NamedTuple):

@@ -11,7 +11,8 @@ from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               mlp_forward, relative_position_index,
                               stl_forward, window_msa)
-from swinir.tensor import Tensor, gelu, no_grad, sum_, window_attention
+from swinir.tensor import (Tensor, gelu, layer_norm, no_grad, sum_,
+                           window_attention)
 from swinir.windows import (WindowGrid, build_attn_mask, cyclic_shift,
                             pad_to_multiple, window_partition)
 
@@ -402,3 +403,38 @@ class TestStl:
                   stl.mlp.fc1_w, stl.norm1_gamma]:
             t.requires_grad = True
         check_gradients(fn, [x], tol=1e-3)
+
+    def test_gradcheck_reaches_norm_gain_and_shift(self, rng):
+        # float64 gamma and beta away from 1 and 0 reach the QKV and fc1
+        # products only through the fold; x holds the window-ordered rows
+        # of one image, a 4 x 4 grid of 2 x 2 windows, shifted
+        c, m = 4, 2
+        stl = make_stl(c, 2, m, shift=1, rng=rng)
+        grid = WindowGrid(4, 4, m)
+        arrays = [rng.uniform(size=(1, 16, c))]
+        arrays += [1.0 + 0.3 * rng.normal(size=c), 0.3 * rng.normal(size=c),
+                   1.0 + 0.3 * rng.normal(size=c), 0.3 * rng.normal(size=c)]
+
+        def fn(xx, g1, b1, g2, b2):
+            layer = replace(stl, norm1_gamma=g1, norm1_beta=b1,
+                            norm2_gamma=g2, norm2_beta=b2)
+            return sum_(stl_forward(xx, layer, grid) ** 2.0)
+
+        check_gradients(fn, arrays, tol=1e-3)
+
+    def test_float32_forward_matches_unfused_norms(self, rng):
+        # LayerNorm with its own affine step, then the plain products
+        c, m = 8, 4
+        stl = make_stl(c, 2, m, shift=2, rng=rng)
+        for t in (stl.norm1_gamma, stl.norm2_gamma):
+            t.data = (1.0 + 0.3 * rng.normal(size=c)).astype(np.float32)
+        for t in (stl.norm1_beta, stl.norm2_beta):
+            t.data = (0.3 * rng.normal(size=c)).astype(np.float32)
+        grid = WindowGrid(8, 8, m)
+        x = Tensor(rng.uniform(size=(2, 64, c)).astype(np.float32))
+        got = stl_forward(x, stl, grid).data
+        mask = build_attn_mask(8, 8, m, 2)
+        h = x + window_msa(layer_norm(x, stl.norm1_gamma, stl.norm1_beta), stl.attn, mask)
+        want = h + mlp_forward(layer_norm(h, stl.norm2_gamma, stl.norm2_beta), stl.mlp)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-5)

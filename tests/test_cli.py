@@ -498,3 +498,52 @@ class TestGradcheckInspect:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"total parameters {param_count(cfg)}" in out
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a data error naming it, found
+    before any image is restored or degraded and before training starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("restore_image", "degrade_image", "train"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def run(self, argv, out, capsys):
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"cannot write {out}" in err
+
+    def test_infer_into_missing_directory(self, tmp_path, capsys):
+        ckpt, _ = make_ckpt(tmp_path)
+        [src] = write_images(tmp_path / "in", n=1, size=16)
+        self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)],
+                 tmp_path / "missing" / "dir" / "x.pgm", capsys)
+
+    def test_degrade_into_missing_directory(self, tmp_path, capsys):
+        [src] = write_images(tmp_path / "in", n=1, size=16)
+        self.run(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
+                  "--in", str(src)], tmp_path / "missing" / "d" / "x.pgm", capsys)
+
+    def test_train_under_a_file(self, tmp_path, capsys):
+        write_images(tmp_path / "data", n=2)
+        cfg = write_config(tmp_path / "c.cfg")
+        (tmp_path / "afile").write_text("not a directory\n")
+        self.run(["train", "--config", str(cfg), "--data", str(tmp_path / "data")],
+                 tmp_path / "afile" / "sub", capsys)
+
+    def test_infer_directory_onto_a_file(self, tmp_path, capsys):
+        ckpt, _ = make_ckpt(tmp_path)
+        write_images(tmp_path / "in", n=2, size=16)
+        (tmp_path / "afile").write_text("not a directory\n")
+        self.run(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "in")],
+                 tmp_path / "afile", capsys)
+
+    def test_single_image_onto_a_directory(self, tmp_path, capsys):
+        ckpt, _ = make_ckpt(tmp_path)
+        [src] = write_images(tmp_path / "in", n=1, size=16)
+        self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)], tmp_path, capsys)

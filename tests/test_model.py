@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients
+from conftest import assert_all_equal, check_gradients
 from swinir import checkpoint
 from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
                                load_checkpoint, save_checkpoint, serialize)
@@ -19,8 +19,11 @@ from swinir.model import (MAX_WINDOW, ModelParams, SwinIRConfig, car_config,
                           lightweight_sr_config, param_count,
                           reconstruct_residual, reconstruct_sr, rstb_forward,
                           shallow_extract, tiny_config)
-from swinir.tensor import Tensor, no_grad, sum_
+from swinir.attention import stl_forward
+from swinir.tensor import Tensor, conv2d, no_grad, permute, sum_
 from swinir.train import TrainState
+from swinir.windows import (WindowGrid, crop_to, cyclic_shift, pad_to_multiple,
+                            unshift, window_partition, window_reverse)
 
 
 def zero_(t):
@@ -94,6 +97,43 @@ class TestRstb:
             return sum_(rstb_forward(xx, block, cfg.window) ** 2.0)
 
         check_gradients(fn, [x], tol=1e-3)
+
+
+def image_order_rstb(x, block, window):
+    """``rstb_forward`` with the tokens kept in image order between layers:
+    cyclic_shift and window_partition before each layer, window_reverse
+    and unshift after it, around the same layer function."""
+    t = permute(x, 0, 2, 3, 1)
+    t, (h, w) = pad_to_multiple(t, window)
+    grid = WindowGrid(t.shape[1], t.shape[2], window)
+    for stl in block.stls:
+        wins = window_partition(cyclic_shift(t, stl.shift), window)
+        wins = stl_forward(wins, stl, grid)
+        t = unshift(window_reverse(wins, window, grid.height, grid.width), stl.shift)
+    t = permute(crop_to(t, h, w), 0, 3, 1, 2)
+    return conv2d(t, block.conv.w, block.conv.b, padding=1) + x
+
+
+class TestWindowOrder:
+    def test_rstb_matches_image_order_composition(self, rng):
+        # N = 2, two plain and two shifted layers, 64^2 padded to 70^2 at
+        # window 7; norm gains and shifts away from 1 and 0
+        cfg = tiny_config(channels=8, heads=2, stl_per_rstb=4, window=7)
+        params = init_params(cfg, seed=5)
+        block = params.rstbs[0]
+        for stl in block.stls:
+            for t in (stl.norm1_gamma, stl.norm1_beta, stl.norm2_gamma, stl.norm2_beta):
+                t.data = t.data + (0.3 * rng.normal(size=t.shape)).astype(np.float32)
+        tensors = [t for name, t in params.named() if name.startswith("rstb.0.")]
+        x = rng.uniform(size=(2, 8, 64, 64)).astype(np.float32)
+        runs = []
+        for fn in (rstb_forward, image_order_rstb):
+            params.zero_grad()
+            xt = Tensor(x, requires_grad=True)
+            out = fn(xt, block, cfg.window)
+            sum_(out * out).backward()
+            runs.append([out.data, xt.grad] + [t.grad for t in tensors])
+        assert_all_equal(runs)
 
 
 class TestDeepExtract:
@@ -269,7 +309,7 @@ class TestFloat32Kernels:
                                            (car_config(1), 21)])
     def test_float32_forward_within_gate_of_float64(self, rng, cfg, side):
         # the benchmark gate's tolerance, 2e-4 on the [0, 1] scale, on the
-        # float32 kernels (rational erf, unshifted softmax, einsum norms);
+        # float32 kernels (tanh-form erf, unshifted softmax, einsum norms);
         # 12^2 pads to the lightweight window 8, and both shifted passes
         # run the mask
         params = init_params(cfg, seed=3, dtype=np.float64)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import dense_shift_mask
 from swinir.tensor import Tensor, window_attention
-from swinir.windows import (WindowGrid, build_attn_mask,
-                            crop_to, cyclic_shift, pad_to_multiple, unshift,
-                            window_partition, window_reverse)
+from swinir.windows import (WindowGrid, build_attn_mask, crop_to,
+                            cyclic_shift, pad_to_multiple, reorder, row_gather,
+                            unshift, window_partition, window_reverse)
 
 
 class TestPadToMultiple:
@@ -93,6 +93,34 @@ def expand(mask):
     """The mask as the attention core adds it, one [m^2, m^2] per window."""
     per_window = mask.blocks[mask.slots, 0]
     return np.where(mask.slots[:, None, None] >= 0, per_window, np.float32(0.0))
+
+
+class TestReorder:
+    @pytest.mark.parametrize("h, w, m", [(8, 12, 4), (14, 7, 7), (6, 6, 3)])
+    def test_each_order_is_shift_then_partition(self, rng, h, w, m):
+        # image order -> plain windows -> shifted windows -> plain -> image
+        x = rng.normal(size=(2, h, w, 3))
+        grid = WindowGrid(h, w, m)
+        orders = [None, 0, m // 2, 0, m // 2, None]
+        rows = Tensor(x.reshape(2, h * w, 3))
+        for src, dst in zip(orders, orders[1:]):
+            rows = reorder(rows, grid, src, dst)
+            want = x if dst is None else window_partition(cyclic_shift(Tensor(x), dst), m).data
+            np.testing.assert_array_equal(rows.data.reshape(-1), want.reshape(-1))
+
+    def test_same_order_gathers_nothing(self):
+        assert row_gather(WindowGrid(8, 8, 4), 2, 2) is None
+        # one window per grid row: plain window order is image order
+        assert row_gather(WindowGrid(8, 4, 4), None, 0) is None
+        rows = Tensor(np.zeros((1, 32, 2)))
+        assert reorder(rows, WindowGrid(8, 4, 4), 0, None) is rows
+
+    def test_cached_read_only_inverse_pair(self):
+        index, inverse = row_gather(WindowGrid(8, 12, 4), 0, 2)
+        assert row_gather(WindowGrid(8, 12, 4), 0, 2)[0] is index
+        np.testing.assert_array_equal(index[inverse], np.arange(96))
+        with pytest.raises(ValueError):
+            index[0] = 1
 
 
 class TestAttnMask:
