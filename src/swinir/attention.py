@@ -20,12 +20,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import (Tensor, concat, gelu, layer_norm, linear, mul, permute,
-                     reshape, take, window_attention)
+from .tensor import (Tensor, concat, gelu, grad_enabled, layer_norm, linear,
+                     mul, parallel_for, permute, reshape, take, window_attention)
 from .windows import AttnMask, WindowGrid, build_attn_mask
 
 # a LayerNorm's gain and shift, (gamma, beta)
 Norm = Tuple[Tensor, Tensor]
+
+# rows per chunk of an untaped layer, rounded down to whole windows
+_CHUNK_ROWS = 2048
 
 
 def relative_position_index(m: int) -> np.ndarray:
@@ -121,6 +124,14 @@ def mlp_forward(x: Tensor, params: MlpParams, norm: Optional[Norm] = None) -> Te
     return linear(gelu(linear(x, w, b)), params.fc2_w, params.fc2_b)
 
 
+def _layer(x: Tensor, params: StlParams, mask: Optional[AttnMask]) -> Tensor:
+    """The layer's two residual sublayers on rows of whole windows."""
+    x = x + window_msa(layer_norm(x, None, None), params.attn, mask,
+                       (params.norm1_gamma, params.norm1_beta))
+    return x + mlp_forward(layer_norm(x, None, None), params.mlp,
+                           (params.norm2_gamma, params.norm2_beta))
+
+
 def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
     """One transformer layer on the N*H*W tokens of a window-aligned grid,
     given as rows [..., C] in the window order of the layer's shift
@@ -128,10 +139,30 @@ def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
 
     Both LayerNorms run without their affine step; gamma and beta enter the
     QKV and fc1 products instead. The None arguments stay positional: the
-    benchmark's tracer reads the second argument of ``layer_norm``."""
+    benchmark's tracer reads the second argument of ``layer_norm``.
+
+    Every step acts on rows or on single windows, so inside ``no_grad`` the
+    layer runs as chunks of ``_CHUNK_ROWS // m^2`` whole windows over
+    ``tensor.parallel_for``, each chunk with its own slice of the mask and
+    small temporaries that the allocator reuses. The chunks depend only on
+    the grid and the batch, never on the thread count or the kernels'
+    block budget, so the output does not either. With a tape the layer is
+    one chunk."""
     s = params.shift
     mask = build_attn_mask(grid.height, grid.width, grid.window, s) if s else None
-    x = x + window_msa(layer_norm(x, None, None), params.attn, mask,
-                       (params.norm1_gamma, params.norm1_beta))
-    return x + mlp_forward(layer_norm(x, None, None), params.mlp,
-                           (params.norm2_gamma, params.norm2_beta))
+    if grad_enabled():
+        return _layer(x, params, mask)
+    mm = grid.window ** 2
+    rows = x.data.reshape(-1, x.shape[-1])
+    nw = len(rows) // mm
+    step = max(1, _CHUNK_ROWS // mm)
+    out = np.empty_like(rows)
+
+    def chunk(lo):
+        hi = min(lo + step, nw)
+        part = None if mask is None else mask._replace(
+            slots=mask.slots[np.arange(lo, hi) % len(mask.slots)])
+        out[lo * mm:hi * mm] = _layer(Tensor(rows[lo * mm:hi * mm]), params, part).data
+
+    parallel_for(chunk, range(0, nw, step))
+    return Tensor(out.reshape(x.shape))

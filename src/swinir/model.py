@@ -13,6 +13,7 @@ names (``rstb.3.stl.1.attn.wq``), which is also the checkpoint order.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -21,7 +22,8 @@ import numpy as np
 from .attention import (MlpParams, StlParams, WindowAttentionParams,
                         relative_position_index, stl_forward)
 from .rng import SplitMix64
-from .tensor import Tensor, conv2d, gelu, permute, pixel_shuffle, reshape
+from .tensor import (Tensor, conv2d, gelu, grad_enabled, permute, pixel_shuffle,
+                     reshape, single_thread_blas)
 from .windows import WindowGrid, crop_to, pad_to_multiple, reorder
 
 TASKS = ("sr", "denoise", "car")
@@ -333,15 +335,23 @@ def reconstruct_residual(x: Tensor, f0: Tensor, fdf: Tensor,
 
 
 def forward(params: ModelParams, x: Tensor) -> Tensor:
-    """Restore a batch of [N, Cin, H, W] images in [0, 1]."""
+    """Restore a batch of [N, Cin, H, W] images in [0, 1].
+
+    Inside ``no_grad`` the transformer layers and the convolutions split
+    their work over the usable CPUs (``tensor.parallel_for``), and BLAS
+    runs at one thread for the whole call, so that no idle BLAS thread
+    spins on a core a worker needs; its thread count is restored on
+    return. With a tape, the call runs on one thread at the BLAS thread
+    count it finds."""
     cfg = params.config
     if x.shape[1] != cfg.in_channels:
         raise ValueError(f"expected {cfg.in_channels} input channels, got {x.shape[1]}")
-    f0 = shallow_extract(x, params)
-    fdf = deep_extract(f0, params)
-    if cfg.task == "sr":
-        return reconstruct_sr(f0, fdf, params)
-    return reconstruct_residual(x, f0, fdf, params)
+    with nullcontext() if grad_enabled() else single_thread_blas():
+        f0 = shallow_extract(x, params)
+        fdf = deep_extract(f0, params)
+        if cfg.task == "sr":
+            return reconstruct_sr(f0, fdf, params)
+        return reconstruct_residual(x, f0, fdf, params)
 
 
 # -- analytic accounting -------------------------------------------------

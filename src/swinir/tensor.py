@@ -10,11 +10,19 @@ gradients additively into ``.grad``.
 The operator set is exactly what the restoration model needs; this is not
 a general autodiff system (no control-flow capture, no higher-order
 gradients).
+
+Without a tape, work that splits into independent parts runs over the
+usable CPUs (``parallel_for``); the tape itself is recorded by one thread.
 """
 from __future__ import annotations
 
+import ctypes
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+import os
+import queue
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
@@ -41,6 +49,118 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+def grad_enabled() -> bool:
+    """False inside ``no_grad``: nothing is taped, so work may be split
+    over threads."""
+    return _grad_enabled
+
+
+# -- threads ------------------------------------------------------------------
+
+def _blas_controls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None where numpy exports no such symbols."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype = ctypes.c_int
+    put.argtypes = (ctypes.c_int,)
+    return get, put
+
+
+_BLAS = _blas_controls()
+
+
+@contextmanager
+def single_thread_blas():
+    """BLAS at one thread inside the block; the previous count comes back
+    on exit, also on an exception. Python threads then own the CPUs: a
+    BLAS thread left spinning after a threaded product would share a core
+    with the next worker."""
+    if _BLAS is None:
+        yield
+        return
+    get, put = _BLAS
+    prev = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(prev)
+
+
+_tasks = queue.SimpleQueue()        # callables for the pool threads
+_threads = []                       # the pool: idle daemon threads
+_threads_lock = threading.Lock()
+_in_task = threading.local()
+
+
+def _serve() -> None:
+    while True:
+        _tasks.get()()
+
+
+def parallel_for(fn: Callable, items: Sequence) -> None:
+    """fn(item) for every item, spread over the usable CPUs.
+
+    The caller and (CPUs - 1) pool threads take the items one at a time,
+    in order, each as soon as it is free, so a stalled CPU holds up one
+    item rather than a fixed share. Pool threads start on first use and
+    then wait for work; as daemons, they never hold up the interpreter's
+    exit. Runs everything in order on the calling thread when one CPU is
+    usable, when there is one item, or when called from inside a task: it
+    never nests, and never runs more threads than there are usable CPUs.
+    After every started item has ended, the exception of the first failed
+    item, if any, is raised unchanged."""
+    # the CPUs of the affinity mask; one where BLAS cannot be held at one
+    # thread, as its own threads would compete with the pool's
+    cpus = 1 if _BLAS is None else len(os.sched_getaffinity(0))
+    workers = min(cpus, len(items))
+    if workers <= 1 or getattr(_in_task, "active", False):
+        for item in items:
+            fn(item)
+        return
+    failed = []
+    order = iter(range(len(items)))      # shared: each index is taken once
+
+    def drain():
+        _in_task.active = True
+        try:
+            for i in order:
+                if failed:
+                    return
+                try:
+                    fn(items[i])
+                except BaseException as exc:
+                    failed.append((i, exc))
+        finally:
+            _in_task.active = False
+
+    with _threads_lock:
+        while len(_threads) < workers - 1:
+            _threads.append(threading.Thread(target=_serve, daemon=True,
+                                             name=f"swinir-{len(_threads)}"))
+            _threads[-1].start()
+    done = threading.Semaphore(0)
+
+    def helper():
+        try:
+            drain()
+        finally:
+            done.release()
+
+    for _ in range(workers - 1):
+        _tasks.put(helper)
+    drain()
+    for _ in range(workers - 1):
+        done.acquire()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
 
 
 class Tensor:
@@ -413,6 +533,21 @@ def _blocks(rows: int, row_bytes: int) -> list:
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
+_BIAS_TILE = 64
+
+
+def _add_bias(out: np.ndarray, b: np.ndarray) -> None:
+    """out[rows, Dout] += b. Whole runs of 64 rows take b tiled 64 times
+    over a [rows/64, 64 Dout] view, the remaining rows a plain broadcast:
+    the same sums, in about half the time of a broadcast over short rows."""
+    rows, dout = out.shape
+    full = rows - rows % _BIAS_TILE
+    if full:
+        tiled = out[:full].reshape(-1, _BIAS_TILE * dout)
+        tiled += np.tile(b, _BIAS_TILE)
+    out[full:] += b
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """x[..., Din] @ weight[Din, Dout] (+ bias[Dout])."""
     x = _wrap(x)
@@ -423,7 +558,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     x2 = x.data.reshape(-1, din)
     out = x2 @ weight.data
     if bias is not None:
-        out += bias.data
+        _add_bias(out, bias.data)
 
     def backward(g):
         g2 = g.reshape(-1, dout)
@@ -451,7 +586,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     [Cin*kh*kw, L] columns fit ``_BLOCK_BYTES``: one copy from a strided
     view of the taps fills one reused column buffer, one GEMM writes the
     block's outputs. The Wp - W' junk columns of each grid row are dropped
-    at the end. The whole column matrix never exists.
+    at the end. The whole column matrix never exists. Inside ``no_grad``
+    the (image, block) pairs go over ``parallel_for``, with one column
+    buffer per thread; every block's arithmetic stays the same.
 
     The tape keeps only the padded input. Backward recomputes each block's
     columns, accumulates dW += g_blk cols^T, and scatter-adds
@@ -484,9 +621,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     # the default budget) keeps wide inputs (Cin = 180: 80 positions in a
     # plain budget) from running many small GEMMs
     blocks = _blocks(span, min(kk * es, _BLOCK_BYTES // 256))
-    buf = np.empty(kk * blocks[0].stop, dtype=xp.dtype)
+    buf_size = kk * blocks[0].stop
 
-    def columns(img, pos):
+    def columns(img, pos, buf):
         """Block ``pos`` of image ``img``'s column matrix, [Cin*kh*kw, L]
         in (cin, i, j) order, in ``buf``: one copy that walks the input
         channel by channel, so each channel's rows stay in cache for all
@@ -498,12 +635,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     wmat = weight.data.reshape(cout, kk)
     # positions past span (the last grid row's junk tail) are never written
     grid = np.empty((n, cout, hout * wp), dtype=np.result_type(xp, wmat))
-    for img in range(n):
-        for pos in blocks:
-            ob = grid[img, :, pos]
-            np.matmul(wmat, columns(img, pos), out=ob)
-            if bias is not None:
-                ob += bias.data[:, None]
+    local = threading.local()         # one column buffer per thread
+
+    def forward_block(task):
+        img, pos = task
+        buf = getattr(local, "buf", None)
+        if buf is None:
+            buf = local.buf = np.empty(buf_size, dtype=xp.dtype)
+        ob = grid[img, :, pos]
+        np.matmul(wmat, columns(img, pos, buf), out=ob)
+        if bias is not None:
+            ob += bias.data[:, None]
+
+    tasks = [(img, pos) for img in range(n) for pos in blocks]
+    if _grad_enabled:
+        for task in tasks:
+            forward_block(task)
+    else:
+        parallel_for(forward_block, tasks)
     out = grid.reshape(n, cout, hout, wp)[:, :, :, :wout]
 
     def backward(g):
@@ -511,12 +660,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         ggrid.reshape(n, cout, hout, wp)[:, :, :, :wout] = g
         dw = np.zeros_like(wmat)
         dflat = np.zeros_like(flat, dtype=g.dtype)
-        dbuf = np.empty_like(buf, dtype=g.dtype)
+        buf = np.empty(buf_size, dtype=xp.dtype)
+        dbuf = np.empty(buf_size, dtype=g.dtype)
         for img in range(n):
             for pos in blocks:
                 length = pos.stop - pos.start
                 gb = ggrid[img, :, pos]
-                dw += gb @ columns(img, pos).T
+                dw += gb @ columns(img, pos, buf).T
                 db = dbuf[:kk * length].reshape(kk, length)
                 np.matmul(wmat.T, gb, out=db)
                 db = db.reshape(cin, kh, kw, length)
@@ -728,7 +878,10 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     untrained C = 180 model straddles it, and trained weights grow past
     it; a call that falls back pays two reductions over ``qkv``. The bound
     is per call, not per block, so the block size never changes the
-    arithmetic.
+    arithmetic. An untaped layer calls the core once per chunk of whole
+    windows (``attention.stl_forward``), so there the bound holds per
+    chunk; the chunks are fixed by the grid and the batch, so the path
+    each takes does not depend on the thread count or the block budget.
 
     The output product runs transposed: V^T E into one reused [windows,
     heads, d, query] buffer, scaled by r along its contiguous query axis,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,25 @@ from swinir import tensor as tensor_mod
 from swinir.tensor import Tensor
 
 
-def block_budgets(monkeypatch):
+def usable_cpus(monkeypatch, count):
+    """Stub the affinity mask to ``count`` CPUs, so that ``parallel_for``
+    runs ``count`` threads, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def block_budgets(monkeypatch, workers=(1,)):
     """Run a loop body under two block budgets of the blocked tensor kernels
-    (conv2d, layer_norm, gelu, window_attention): the default, in which test
-    inputs fit one block, then one byte, which gives every row (output
-    position, token, element or window) a block of its own and so splits
-    windows mid-image and mid-mask."""
-    yield tensor_mod._BLOCK_BYTES
-    monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 1)
-    yield 1
+    (conv2d, layer_norm, gelu, window_attention), for each of ``workers``
+    usable CPUs (``usable_cpus``): the default budget, in which test inputs
+    fit one block, then one byte, which gives every row (output position,
+    token, element or window) a block of its own and so splits windows
+    mid-image and mid-mask."""
+    default = tensor_mod._BLOCK_BYTES
+    for count in workers:
+        usable_cpus(monkeypatch, count)
+        for budget in (default, 1):
+            monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", budget)
+            yield budget
 
 
 def assert_all_equal(runs):

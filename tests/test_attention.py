@@ -6,11 +6,12 @@ import pytest
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
                       dense_attention_oracle, dense_shift_mask, make_attn_params,
-                      tape_gradients)
+                      tape_gradients, usable_cpus)
 from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               mlp_forward, relative_position_index,
                               stl_forward, window_msa)
+from swinir.model import init_params, lightweight_sr_config
 from swinir.tensor import (Tensor, gelu, layer_norm, no_grad, sum_,
                            window_attention)
 from swinir.windows import (WindowGrid, build_attn_mask, cyclic_shift,
@@ -114,7 +115,7 @@ class TestWindowMsa:
         assert 0 < (mask.slots >= 0).sum() < len(mask.slots)
         xm = rng.normal(size=(2 * len(mask.slots), m * m, c)).astype(np.float32)
         runs = []
-        for _ in block_budgets(monkeypatch):
+        for _ in block_budgets(monkeypatch, workers=(1, 2)):
             got = window_msa(Tensor(x), params).data
             np.testing.assert_allclose(got, dense_attention_oracle(x, params),
                                        atol=1e-5)
@@ -260,7 +261,7 @@ class TestLogitBound:
         assert (np.abs(qk).max() > 150) == big_qk
         taken = self.record_paths(monkeypatch)
         runs = []
-        for _ in block_budgets(monkeypatch):
+        for _ in block_budgets(monkeypatch, workers=(1, 2)):
             run = []
             for dtype in (np.float32, np.float64):
                 typed = replace(params, **{
@@ -438,3 +439,21 @@ class TestStl:
         want = h + mlp_forward(layer_norm(h, stl.norm2_gamma, stl.norm2_beta), stl.mlp)
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-5)
+
+    def test_untaped_layer_memory_bounded(self, monkeypatch):
+        # one shifted lightweight layer (C = 60, window 8, 6 heads) on the
+        # 65,536 rows of a 256^2 grid, 15.7 MB in and 15.7 MB out. Run
+        # whole, its [65536, 180] qkv alone took 47 MB and the layer peaked
+        # at 81 MB; chunks of whole windows on two threads peak at 22 MB,
+        # the output plus a few MB per chunk in flight
+        usable_cpus(monkeypatch, 2)
+        stl = init_params(lightweight_sr_config(2, 3), seed=0).rstbs[0].stls[1]
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 65536, 60)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                stl_forward(x, stl, WindowGrid(256, 256, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes

@@ -1,4 +1,5 @@
 import ast
+import os
 import re
 from types import SimpleNamespace
 
@@ -547,3 +548,36 @@ class TestUnwritableOut:
         ckpt, _ = make_ckpt(tmp_path)
         [src] = write_images(tmp_path / "in", n=1, size=16)
         self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)], tmp_path, capsys)
+
+    @staticmethod
+    def deny_writes(monkeypatch, directory):
+        """``os.access`` refuses writes to ``directory``: root passes every
+        permission check, so a read-only directory cannot stand in."""
+        real = os.access
+        denied = os.path.abspath(directory)
+
+        def access(path, mode, **kwargs):
+            if os.path.abspath(path) == denied and mode & os.W_OK:
+                return False
+            return real(path, mode, **kwargs)
+
+        monkeypatch.setattr(os, "access", access)
+
+    def test_infer_into_unwritable_directory(self, tmp_path, capsys, monkeypatch):
+        ckpt, _ = make_ckpt(tmp_path)
+        [src] = write_images(tmp_path / "in", n=1, size=16)
+        (tmp_path / "locked").mkdir()
+        self.deny_writes(monkeypatch, tmp_path / "locked")
+        out = tmp_path / "locked" / "x.pgm"
+        self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)], out, capsys)
+        assert not out.exists()
+
+    def test_train_under_unwritable_directory(self, tmp_path, capsys, monkeypatch):
+        write_images(tmp_path / "data", n=2)
+        cfg = write_config(tmp_path / "c.cfg")
+        (tmp_path / "locked").mkdir()
+        self.deny_writes(monkeypatch, tmp_path / "locked")
+        out = tmp_path / "locked" / "run"
+        self.run(["train", "--config", str(cfg), "--data", str(tmp_path / "data")],
+                 out, capsys)
+        assert not out.exists()

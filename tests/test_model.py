@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_all_equal, check_gradients
-from swinir import checkpoint
+from conftest import assert_all_equal, block_budgets, check_gradients, usable_cpus
+from swinir import attention, checkpoint, model
+from swinir import tensor as T
 from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
                                load_checkpoint, save_checkpoint, serialize)
 from swinir.model import (MAX_WINDOW, ModelParams, SwinIRConfig, car_config,
@@ -21,7 +22,8 @@ from swinir.model import (MAX_WINDOW, ModelParams, SwinIRConfig, car_config,
                           shallow_extract, tiny_config)
 from swinir.attention import stl_forward
 from swinir.tensor import Tensor, conv2d, no_grad, permute, sum_
-from swinir.train import TrainState
+from swinir.imageio import ImageBuffer
+from swinir.train import TrainState, restore_image
 from swinir.windows import (WindowGrid, crop_to, cyclic_shift, pad_to_multiple,
                             unshift, window_partition, window_reverse)
 
@@ -115,9 +117,12 @@ def image_order_rstb(x, block, window):
 
 
 class TestWindowOrder:
-    def test_rstb_matches_image_order_composition(self, rng):
+    def test_rstb_matches_image_order_composition(self, rng, monkeypatch):
         # N = 2, two plain and two shifted layers, 64^2 padded to 70^2 at
-        # window 7; norm gains and shifts away from 1 and 0
+        # window 7; norm gains and shifts away from 1 and 0. Two usable
+        # CPUs: untaped, each layer's 200 windows run as 5 chunks of 41 or
+        # fewer over two threads, in both compositions
+        usable_cpus(monkeypatch, 2)
         cfg = tiny_config(channels=8, heads=2, stl_per_rstb=4, window=7)
         params = init_params(cfg, seed=5)
         block = params.rstbs[0]
@@ -132,7 +137,9 @@ class TestWindowOrder:
             xt = Tensor(x, requires_grad=True)
             out = fn(xt, block, cfg.window)
             sum_(out * out).backward()
-            runs.append([out.data, xt.grad] + [t.grad for t in tensors])
+            with no_grad():
+                untaped = fn(Tensor(x), block, cfg.window)
+            runs.append([out.data, untaped.data, xt.grad] + [t.grad for t in tensors])
         assert_all_equal(runs)
 
 
@@ -302,6 +309,79 @@ class TestForward:
         margin = 3 * m
         sl = (slice(None), slice(None), slice(margin, -margin), slice(margin, -margin))
         np.testing.assert_allclose(unrolled[sl], base[sl], atol=1e-4)
+
+
+class TestParallelForward:
+    """Untaped, every transformer layer runs as fixed chunks of whole
+    windows over the pool, and BLAS runs at one thread."""
+
+    def test_bit_identical_over_workers_and_budgets(self, rng, monkeypatch):
+        # two 50^2 images padded to 52^2 at window 4: 338 windows per layer,
+        # chunks of 128, so one chunk straddles the two images' masks
+        cfg = tiny_config(task="denoise", channels=4, heads=2, stl_per_rstb=2)
+        params = init_params(cfg, seed=4)
+        for stl in params.rstbs[0].stls:
+            stl.attn.bias_table.data = rng.normal(size=stl.attn.bias_table.shape).astype(np.float32)
+        x = rng.uniform(size=(2, 1, 50, 50)).astype(np.float32)
+        chunks = []
+        real = attention._layer
+        monkeypatch.setattr(attention, "_layer",
+                            lambda t, *a: chunks.append(t.shape[0]) or real(t, *a))
+        runs = {}
+        for budget in block_budgets(monkeypatch, workers=(1, 2, 3)):
+            chunks.clear()
+            with no_grad():
+                runs.setdefault(budget, []).append([forward(params, Tensor(x)).data])
+            # the same chunks of whole windows, whatever the budget and CPUs
+            assert sorted(chunks) == sorted([2048, 2048, 1312] * 2)
+        for same_budget in runs.values():
+            assert_all_equal(same_budget)
+        # across budgets only the convolutions' sums may round differently:
+        # a one-byte budget makes every conv block one position wide, which
+        # BLAS computes as a matrix-vector product
+        default, tiny = runs.values()
+        np.testing.assert_allclose(default[0][0], tiny[0][0], rtol=0, atol=1e-5)
+        # one chunk with a tape: the same layer, up to rounding
+        np.testing.assert_allclose(forward(params, Tensor(x)).data, default[0][0],
+                                   rtol=0, atol=1e-5)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The BLAS thread count reader, with the count set to 2 for the
+        test and restored after it."""
+        if T._BLAS is None:
+            pytest.skip("numpy exports no BLAS thread control")
+        get, put = T._BLAS
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_blas_thread_count_restored(self, rng, monkeypatch, blas_threads):
+        params = init_params(tiny_config(), seed=0)
+        lq = ImageBuffer(rng.uniform(size=(9, 9, 1)).astype(np.float32))
+        seen = []
+        real = model.deep_extract
+
+        def spy(*args):
+            seen.append(blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(model, "deep_extract", spy)
+        restore_image(params, lq)
+        assert seen == [1] and blas_threads() == 2
+
+        def fail(*args):
+            raise FloatingPointError("inside the forward")
+
+        monkeypatch.setattr(model, "deep_extract", fail)
+        with pytest.raises(FloatingPointError):
+            restore_image(params, lq)
+        assert blas_threads() == 2
+        # a taped forward keeps the count it finds
+        monkeypatch.setattr(model, "deep_extract", spy)
+        forward(params, Tensor(lq.data.transpose(2, 0, 1)[None]))
+        assert seen[-1] == 2
 
 
 class TestFloat32Kernels:

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
-                      max_rel_err, tape_gradients)
+                      max_rel_err, tape_gradients, usable_cpus)
 from swinir import tensor as T
 from swinir.tensor import (Tensor, abs_, concat, conv2d, gather_rows, gelu,
                            layer_norm, linear, matmul, mean, mul, no_grad,
-                           pixel_shuffle, pixel_unshuffle, roll, softmax, sqrt,
-                           sum_, take)
+                           parallel_for, pixel_shuffle, pixel_unshuffle, roll,
+                           softmax, sqrt, sum_, take)
 
 
 # -- conv2d ---------------------------------------------------------------
@@ -89,8 +90,9 @@ class TestConv2d:
             return sum_(conv2d(xx, ww, bb, padding=padding) * Tensor(g))
 
         runs = []
-        for _ in block_budgets(monkeypatch):
-            out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        for _ in block_budgets(monkeypatch, workers=(1, 2, 3)):
+            with no_grad():     # the (image, block) pairs go over the pool
+                out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
             grads = tape_gradients(loss, [x, w, b])
             np.testing.assert_array_equal(out, out_ref)
             for got, want in zip(grads, grads_ref, strict=True):
@@ -169,6 +171,70 @@ class TestLinear:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="width"):
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 130, 2048])
+    @pytest.mark.parametrize("dout", [84, 180])
+    def test_tiled_bias_adds_bit_for_bit(self, rng, rows, dout):
+        # whole 64-row runs take the tiled bias, the tail a broadcast
+        x = rng.normal(size=(rows, 60)).astype(np.float32)
+        w = rng.normal(size=(60, dout)).astype(np.float32)
+        b = rng.normal(size=(dout,)).astype(np.float32)
+        got = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_array_equal(got, x @ w + b)
+
+
+class TestParallelMap:
+    """The pool behind untaped layers and convolutions."""
+
+    def test_every_item_runs_once(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        done = []
+        parallel_for(done.append, range(50))
+        assert sorted(done) == list(range(50))
+
+    def test_task_exception_reaches_the_caller_unchanged(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        err = KeyError("chunk 3")
+
+        def task(i):
+            if i == 3:
+                raise err
+            return i
+
+        with pytest.raises(KeyError) as info:
+            parallel_for(task, range(8))
+        assert info.value is err
+
+    def test_never_nests_nor_exceeds_the_cpus(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        outer, inner = set(), []
+
+        def task(i):
+            me = threading.get_ident()
+            outer.add(me)
+            parallel_for(lambda _: inner.append(threading.get_ident() == me), range(4))
+            threading.Event().wait(0.01)    # let every thread take an item
+
+        parallel_for(task, range(12))
+        assert 1 < len(outer) <= 3
+        assert len(inner) == 48 and all(inner)
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool thread was started")
+
+        monkeypatch.setattr(T, "_threads", [])
+        monkeypatch.setattr(threading, "Thread", refuse)
+        x = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)       # many (image, block) tasks
+        usable_cpus(monkeypatch, 1)
+        with no_grad():
+            conv2d(x, w, padding=1)
+        # the same call with two CPUs does reach the pool
+        usable_cpus(monkeypatch, 2)
+        with no_grad(), pytest.raises(AssertionError, match="pool thread"):
+            conv2d(x, w, padding=1)
 
 
 # -- layer_norm -----------------------------------------------------------
