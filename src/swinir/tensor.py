@@ -19,8 +19,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -94,15 +94,38 @@ def single_thread_blas():
         put(prev)
 
 
-_tasks = queue.SimpleQueue()        # callables for the pool threads
-_threads = []                       # the pool: idle daemon threads
-_threads_lock = threading.Lock()
+_pool = None                        # (executor, its thread count), made on first use
 _in_task = threading.local()
 
 
-def _serve() -> None:
-    while True:
-        _tasks.get()()
+def _share_heap() -> None:
+    """Set glibc's malloc up for the pool, before its first thread starts:
+    one arena, so memory any thread frees serves every thread, and fixed
+    mmap and trim thresholds of 32 and 64 MB, so the temporaries of each
+    chunk, layer and convolution come back from the free lists rather
+    than being unmapped and faulted in again. Without it a helper thread's
+    own arena keeps a chunk's working set that the caller cannot reuse,
+    and a 64x64 car restore faults in 90k pages. No-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in ((-8, 1), (-3, 32 << 20), (-1, 64 << 20)):
+        mallopt(param, value)     # M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """An executor of at least ``count`` threads; its threads start as
+    work arrives and then wait for more."""
+    global _pool
+    if _pool is None:
+        _share_heap()
+    if _pool is None or _pool[1] < count:
+        if _pool is not None:
+            _pool[0].shutdown(wait=False)
+        _pool = (ThreadPoolExecutor(count, thread_name_prefix="swinir"), count)
+    return _pool[0]
 
 
 def parallel_for(fn: Callable, items: Sequence) -> None:
@@ -110,18 +133,17 @@ def parallel_for(fn: Callable, items: Sequence) -> None:
 
     The caller and (CPUs - 1) pool threads take the items one at a time,
     in order, each as soon as it is free, so a stalled CPU holds up one
-    item rather than a fixed share. Pool threads start on first use and
-    then wait for work; as daemons, they never hold up the interpreter's
-    exit. Runs everything in order on the calling thread when one CPU is
-    usable, when there is one item, or when called from inside a task: it
-    never nests, and never runs more threads than there are usable CPUs.
-    After every started item has ended, the exception of the first failed
-    item, if any, is raised unchanged."""
+    item rather than a fixed share. Runs everything in order on the
+    calling thread while the tape records (it is not thread-safe), when
+    one CPU is usable, when there is one item, or when called from inside
+    a task: it never nests, and never runs more threads than there are
+    usable CPUs. After every started item has ended, the exception of the
+    first failed item, if any, is raised unchanged."""
     # the CPUs of the affinity mask; one where BLAS cannot be held at one
     # thread, as its own threads would compete with the pool's
     cpus = 1 if _BLAS is None else len(os.sched_getaffinity(0))
     workers = min(cpus, len(items))
-    if workers <= 1 or getattr(_in_task, "active", False):
+    if _grad_enabled or workers <= 1 or getattr(_in_task, "active", False):
         for item in items:
             fn(item)
         return
@@ -141,24 +163,11 @@ def parallel_for(fn: Callable, items: Sequence) -> None:
         finally:
             _in_task.active = False
 
-    with _threads_lock:
-        while len(_threads) < workers - 1:
-            _threads.append(threading.Thread(target=_serve, daemon=True,
-                                             name=f"swinir-{len(_threads)}"))
-            _threads[-1].start()
-    done = threading.Semaphore(0)
-
-    def helper():
-        try:
-            drain()
-        finally:
-            done.release()
-
-    for _ in range(workers - 1):
-        _tasks.put(helper)
+    pool = _helpers(workers - 1)
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
     drain()
-    for _ in range(workers - 1):
-        done.acquire()
+    for helper in helpers:
+        helper.result()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
 
@@ -647,12 +656,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if bias is not None:
             ob += bias.data[:, None]
 
-    tasks = [(img, pos) for img in range(n) for pos in blocks]
-    if _grad_enabled:
-        for task in tasks:
-            forward_block(task)
-    else:
-        parallel_for(forward_block, tasks)
+    parallel_for(forward_block, [(img, pos) for img in range(n) for pos in blocks])
     out = grid.reshape(n, cout, hout, wp)[:, :, :, :wout]
 
     def backward(g):

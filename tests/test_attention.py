@@ -7,6 +7,7 @@ import pytest
 from conftest import (assert_all_equal, block_budgets, check_gradients,
                       dense_attention_oracle, dense_shift_mask, make_attn_params,
                       tape_gradients, usable_cpus)
+from swinir import attention
 from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               mlp_forward, relative_position_index,
@@ -115,7 +116,7 @@ class TestWindowMsa:
         assert 0 < (mask.slots >= 0).sum() < len(mask.slots)
         xm = rng.normal(size=(2 * len(mask.slots), m * m, c)).astype(np.float32)
         runs = []
-        for _ in block_budgets(monkeypatch, workers=(1, 2)):
+        for _ in block_budgets(monkeypatch):
             got = window_msa(Tensor(x), params).data
             np.testing.assert_allclose(got, dense_attention_oracle(x, params),
                                        atol=1e-5)
@@ -261,7 +262,7 @@ class TestLogitBound:
         assert (np.abs(qk).max() > 150) == big_qk
         taken = self.record_paths(monkeypatch)
         runs = []
-        for _ in block_budgets(monkeypatch, workers=(1, 2)):
+        for _ in block_budgets(monkeypatch):
             run = []
             for dtype in (np.float32, np.float64):
                 typed = replace(params, **{
@@ -439,6 +440,36 @@ class TestStl:
         want = h + mlp_forward(layer_norm(h, stl.norm2_gamma, stl.norm2_beta), stl.mlp)
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-5)
+
+    def test_chunked_layer_matches_dense_oracle(self, rng, monkeypatch):
+        # shifted layer on a batch of two 6x6 images at window 2: 18
+        # windows, 9 mask windows per image. Chunks of 4 windows (16 rows)
+        # give 5 chunks, one straddling the two images, so each chunk's
+        # mask slots start mid-mask. fc2 is zero, so the layer is
+        # x + attention(LayerNorm(x)), which the dense oracle gives
+        c, heads, m = 6, 3, 2
+        stl = make_stl(c, heads, m, shift=1, rng=rng)
+        stl.mlp.fc2_w = Tensor(np.zeros((2 * c, c), dtype=np.float32))
+        monkeypatch.setattr(attention, "_CHUNK_ROWS", 4 * m * m)
+        x = rng.normal(size=(2, 36, c)).astype(np.float32)
+        rows = x.reshape(-1, m * m, c).astype(np.float64)
+        normed = (rows - rows.mean(-1, keepdims=True)) / np.sqrt(
+            rows.var(-1, keepdims=True) + 1e-5)
+        want = rows + dense_attention_oracle(normed, stl.attn,
+                                             dense_shift_mask(6, 6, m, 1))
+        calls = []
+        real = T.window_attention
+        monkeypatch.setattr(attention, "window_attention",
+                            lambda *a: calls.append(a[0].shape[0]) or real(*a))
+        runs = []
+        for _ in block_budgets(monkeypatch, workers=(1, 2, 3)):
+            calls.clear()
+            with no_grad():
+                got = stl_forward(Tensor(x), stl, WindowGrid(6, 6, m)).data
+            assert sorted(calls) == [8, 16, 16, 16, 16]
+            np.testing.assert_allclose(got.reshape(want.shape), want, atol=1e-5)
+            runs.append([got])
+        assert_all_equal(runs)
 
     def test_untaped_layer_memory_bounded(self, monkeypatch):
         # one shifted lightweight layer (C = 60, window 8, 6 heads) on the

@@ -1,4 +1,5 @@
 import math
+import resource
 import struct
 import tracemalloc
 import zlib
@@ -382,6 +383,23 @@ class TestParallelForward:
         monkeypatch.setattr(model, "deep_extract", spy)
         forward(params, Tensor(lq.data.transpose(2, 0, 1)[None]))
         assert seen[-1] == 2
+
+    def test_warm_restore_reuses_freed_memory(self, rng, monkeypatch):
+        # once the pool has started, malloc keeps one arena and fixed
+        # thresholds, so a warm lightweight x2 restore of a 64^2 image
+        # takes its temporaries from the free lists. With a second arena
+        # and glibc's dynamic thresholds it faulted in 21.6k pages, and
+        # the serial forward 1.9k
+        if T._BLAS is None:
+            pytest.skip("numpy exports no BLAS thread control: no pool")
+        usable_cpus(monkeypatch, 2)
+        params = init_params(lightweight_sr_config(2, 3), seed=0)
+        lq = ImageBuffer(rng.uniform(size=(64, 64, 3)).astype(np.float32), color="rgb")
+        for _ in range(2):
+            restore_image(params, lq)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        restore_image(params, lq)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 class TestFloat32Kernels:

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -91,13 +92,15 @@ class TestConv2d:
 
         runs = []
         for _ in block_budgets(monkeypatch, workers=(1, 2, 3)):
+            out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
             with no_grad():     # the (image, block) pairs go over the pool
-                out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+                pooled = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
             grads = tape_gradients(loss, [x, w, b])
             np.testing.assert_array_equal(out, out_ref)
+            np.testing.assert_array_equal(pooled, out_ref)
             for got, want in zip(grads, grads_ref, strict=True):
                 np.testing.assert_array_equal(got, want)
-            runs.append([out] + grads)
+            runs.append([out, pooled] + grads)
         assert_all_equal(runs)
 
     def test_gradients_one_position_per_block(self, rng, monkeypatch):
@@ -187,10 +190,24 @@ class TestParallelMap:
     """The pool behind untaped layers and convolutions."""
 
     def test_every_item_runs_once(self, monkeypatch):
+        # more threads than the host's cores, switching every microsecond:
+        # an index taken twice or lost from the shared iterator shows
         usable_cpus(monkeypatch, 3)
         done = []
-        parallel_for(done.append, range(50))
-        assert sorted(done) == list(range(50))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with no_grad():
+                parallel_for(done.append, range(5000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(done) == list(range(5000))
+
+    def test_runs_on_the_caller_while_taping(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        seen = []
+        parallel_for(lambda _: seen.append(threading.get_ident()), range(8))
+        assert seen == [threading.get_ident()] * 8
 
     def test_task_exception_reaches_the_caller_unchanged(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
@@ -201,7 +218,7 @@ class TestParallelMap:
                 raise err
             return i
 
-        with pytest.raises(KeyError) as info:
+        with no_grad(), pytest.raises(KeyError) as info:
             parallel_for(task, range(8))
         assert info.value is err
 
@@ -215,7 +232,8 @@ class TestParallelMap:
             parallel_for(lambda _: inner.append(threading.get_ident() == me), range(4))
             threading.Event().wait(0.01)    # let every thread take an item
 
-        parallel_for(task, range(12))
+        with no_grad():
+            parallel_for(task, range(12))
         assert 1 < len(outer) <= 3
         assert len(inner) == 48 and all(inner)
 
@@ -223,7 +241,7 @@ class TestParallelMap:
         def refuse(*args, **kwargs):
             raise AssertionError("a pool thread was started")
 
-        monkeypatch.setattr(T, "_threads", [])
+        monkeypatch.setattr(T, "_pool", None)
         monkeypatch.setattr(threading, "Thread", refuse)
         x = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
