@@ -10,7 +10,7 @@ with window shift alternating 0 and M//2 across consecutive layers. A
 layer takes its tokens as rows in the window order of its own shift
 (``windows.reorder``), so every row-wise step runs on them in place, and
 each LayerNorm's gain and shift are folded into the product that follows
-it (``fold_norm``).
+it (``fold_norm``), once per layer call (``layer_weights``).
 """
 from __future__ import annotations
 
@@ -26,6 +26,10 @@ from .windows import AttnMask, WindowGrid, build_attn_mask
 
 # a LayerNorm's gain and shift, (gamma, beta)
 Norm = Tuple[Tensor, Tensor]
+# the QKV weight, its bias and the position bias [heads, key, query]
+AttnWeights = Tuple[Tensor, Tensor, Tensor]
+# a layer's products with its norms folded in: (AttnWeights, fc1 (W, b))
+LayerWeights = Tuple[AttnWeights, Tuple[Tensor, Tensor]]
 
 # rows per chunk of an untaped layer, rounded down to whole windows
 _CHUNK_ROWS = 2048
@@ -91,19 +95,13 @@ def fold_norm(norm: Optional[Norm], w: Tensor, b: Tensor) -> Tuple[Tensor, Tenso
     return mul(reshape(gamma, gamma.shape[0], 1), w), linear(beta, w, b)
 
 
-def window_msa(x: Tensor, params: WindowAttentionParams,
-               mask: Optional[AttnMask] = None,
-               norm: Optional[Norm] = None) -> Tensor:
-    """Biased multi-head attention over window-ordered rows [..., C], m^2
-    consecutive rows per window ([nW, m^2, C] or any leading shape).
-
-    Q, K and V come from one C x 3C product whose weights are concatenated
-    from wq, wk and wv on each call, with 1/sqrt(d) folded into wq and bq
-    and, when x left a LayerNorm without its affine step, that step's
-    ``norm`` (``fold_norm``).
-    """
-    c = x.shape[-1]
-    h = params.heads
+def attn_weights(params: WindowAttentionParams,
+                 norm: Optional[Norm] = None) -> AttnWeights:
+    """(W, b, B) of ``window_msa``: the C x 3C QKV weight and its bias,
+    concatenated from wq, wk and wv with 1/sqrt(d) folded into wq and bq
+    and ``norm`` folded in as well (``fold_norm``), and the relative
+    position bias gathered into [heads, key, query]."""
+    c, h = params.wq.shape[1], params.heads
     if c % h:
         raise ValueError(f"{h} heads do not divide {c} channels")
     mm = params.rel_index.shape[0]
@@ -113,23 +111,49 @@ def window_msa(x: Tensor, params: WindowAttentionParams,
     w, b = fold_norm(norm, w, b)
     # key-major bias: entry (key j, query i) is table[rel_index[i, j]]
     bias = take(params.bias_table, params.rel_index.T.reshape(-1), axis=0)
-    bias = permute(reshape(bias, mm, mm, h), 2, 0, 1)
+    return w, b, permute(reshape(bias, mm, mm, h), 2, 0, 1)
+
+
+def window_msa(x: Tensor, params: WindowAttentionParams,
+               mask: Optional[AttnMask] = None,
+               weights: Optional[AttnWeights] = None) -> Tensor:
+    """Biased multi-head attention over window-ordered rows [..., C], m^2
+    consecutive rows per window ([nW, m^2, C] or any leading shape).
+
+    Q, K and V come from one C x 3C product. ``weights`` is its weight,
+    its bias and the gathered position bias, ``attn_weights(params,
+    norm)``, which a layer builds once for all of its chunks; None builds
+    them from ``params`` alone."""
+    w, b, bias = attn_weights(params) if weights is None else weights
     out = window_attention(linear(x, w, b), bias, mask)
     return linear(out, params.proj_w, params.proj_b)
 
 
-def mlp_forward(x: Tensor, params: MlpParams, norm: Optional[Norm] = None) -> Tensor:
-    """fc2(GELU(fc1(x))), with ``norm`` folded into fc1 (``fold_norm``)."""
-    w, b = fold_norm(norm, params.fc1_w, params.fc1_b)
+def mlp_forward(x: Tensor, params: MlpParams,
+                fc1: Optional[Tuple[Tensor, Tensor]] = None) -> Tensor:
+    """fc2(GELU(fc1(x))). ``fc1`` is fc1's weight and bias with a norm
+    folded in (``fold_norm``), built once per layer; None takes them from
+    ``params``."""
+    w, b = (params.fc1_w, params.fc1_b) if fc1 is None else fc1
     return linear(gelu(linear(x, w, b)), params.fc2_w, params.fc2_b)
 
 
-def _layer(x: Tensor, params: StlParams, mask: Optional[AttnMask]) -> Tensor:
-    """The layer's two residual sublayers on rows of whole windows."""
-    x = x + window_msa(layer_norm(x, None, None), params.attn, mask,
-                       (params.norm1_gamma, params.norm1_beta))
-    return x + mlp_forward(layer_norm(x, None, None), params.mlp,
-                           (params.norm2_gamma, params.norm2_beta))
+def layer_weights(params: StlParams) -> LayerWeights:
+    """The products of one layer with both LayerNorms' gain and shift
+    folded in: (``attn_weights``, fc1's weight and bias). Built with tape
+    ops, so gradients reach every parameter."""
+    return (attn_weights(params.attn, (params.norm1_gamma, params.norm1_beta)),
+            fold_norm((params.norm2_gamma, params.norm2_beta),
+                      params.mlp.fc1_w, params.mlp.fc1_b))
+
+
+def _layer(x: Tensor, params: StlParams, weights: LayerWeights,
+           mask: Optional[AttnMask]) -> Tensor:
+    """The layer's two residual sublayers on rows of whole windows, with
+    its ``layer_weights``."""
+    attn, fc1 = weights
+    x = x + window_msa(layer_norm(x, None, None), params.attn, mask, attn)
+    return x + mlp_forward(layer_norm(x, None, None), params.mlp, fc1)
 
 
 def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
@@ -141,17 +165,23 @@ def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
     QKV and fc1 products instead. The None arguments stay positional: the
     benchmark's tracer reads the second argument of ``layer_norm``.
 
-    Every step acts on rows or on single windows, so inside ``no_grad`` the
-    layer runs as chunks of ``_CHUNK_ROWS // m^2`` whole windows over
-    ``tensor.parallel_for``, each chunk with its own slice of the mask and
-    small temporaries that the allocator reuses. The chunks depend only on
-    the grid and the batch, never on the thread count or the kernels'
-    block budget, so the output does not either. With a tape the layer is
-    one chunk."""
+    The layer's constants, ``layer_weights`` (the QKV and fc1 products
+    with the norms folded in, and the gathered position bias), are built
+    once per call and shared by every chunk. Every step acts on rows or on
+    single windows, so inside ``no_grad`` the layer runs as chunks of
+    ``_CHUNK_ROWS // m^2`` whole windows over ``tensor.parallel_for``, each
+    chunk with its own slice of the mask and temporaries that the
+    allocator reuses. A chunk of up to ``_CHUNK_ROWS`` rows fits one block
+    of each of LayerNorm, GELU and the attention core (two at most), so a
+    chunk makes a few dozen numpy calls and hands the GIL over about as
+    often. The chunks depend only on the grid and the batch, never on the
+    thread count or the kernels' block budget, so the output does not
+    either. With a tape the layer is one chunk, with the same ops."""
     s = params.shift
     mask = build_attn_mask(grid.height, grid.width, grid.window, s) if s else None
+    weights = layer_weights(params)
     if grad_enabled():
-        return _layer(x, params, mask)
+        return _layer(x, params, weights, mask)
     mm = grid.window ** 2
     rows = x.data.reshape(-1, x.shape[-1])
     nw = len(rows) // mm
@@ -162,7 +192,8 @@ def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
         hi = min(lo + step, nw)
         part = None if mask is None else mask._replace(
             slots=mask.slots[np.arange(lo, hi) % len(mask.slots)])
-        out[lo * mm:hi * mm] = _layer(Tensor(rows[lo * mm:hi * mm]), params, part).data
+        out[lo * mm:hi * mm] = _layer(Tensor(rows[lo * mm:hi * mm]), params,
+                                      weights, part).data
 
     parallel_for(chunk, range(0, nw, step))
     return Tensor(out.reshape(x.shape))

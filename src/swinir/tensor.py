@@ -31,10 +31,20 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 
-# working-set budget of one block in the blocked kernels (conv2d, layer_norm,
-# gelu, window_attention): small enough that every pass over a block's
-# temporaries hits cache, large enough that per-block overhead stays small
-_BLOCK_BYTES = 512 * 1024
+# working-set budget of one block of the row kernels (layer_norm, gelu,
+# window_attention). A transformer layer's chunk of up to 2,048 rows
+# (attention._CHUNK_ROWS) fits one block of each, two for the GELU of a
+# C = 180 chunk, so a chunk makes few numpy calls, each of which hands the
+# GIL over; whole-image arrays such as the staged head's GELU input still
+# run in several blocks. 8 MB is above a core's L2 but far below a shared
+# L3; on a 2-CPU Xeon, pooled restores ran faster than with 512 KB blocks,
+# fewer calls outweighing the cache misses, while each thread holds a
+# chunk's attention scores (3 MB at C = 60, window 8) instead of a block's
+_BLOCK_BYTES = 8 << 20
+# conv2d's column blocks take 1/_CONV_SHARE of the budget (512 KB by
+# default): a GEMM's float32 sums depend on its width, so conv blocks keep
+# their own, narrower size
+_CONV_SHARE = 16
 
 
 class no_grad:
@@ -105,10 +115,11 @@ def _share_heap() -> None:
     chunk, layer and convolution come back from the free lists rather
     than being unmapped and faulted in again. Without it a helper thread's
     own arena keeps a chunk's working set that the caller cannot reuse,
-    and a 64x64 car restore faults in 90k pages. No-op without mallopt."""
+    and a 64x64 car restore faults in 90k pages. No-op where the C
+    library cannot be opened or has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:
+    except (AttributeError, OSError, TypeError):    # TypeError: no CDLL(None)
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param, value in ((-8, 1), (-3, 32 << 20), (-1, 64 << 20)):
@@ -139,9 +150,15 @@ def parallel_for(fn: Callable, items: Sequence) -> None:
     a task: it never nests, and never runs more threads than there are
     usable CPUs. After every started item has ended, the exception of the
     first failed item, if any, is raised unchanged."""
-    # the CPUs of the affinity mask; one where BLAS cannot be held at one
-    # thread, as its own threads would compete with the pool's
-    cpus = 1 if _BLAS is None else len(os.sched_getaffinity(0))
+    # the CPUs of the affinity mask, or all of them where the platform has
+    # none; one where BLAS cannot be held at one thread, as its own threads
+    # would compete with the pool's
+    if _BLAS is None:
+        cpus = 1
+    elif hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     workers = min(cpus, len(items))
     if _grad_enabled or workers <= 1 or getattr(_in_task, "active", False):
         for item in items:
@@ -535,10 +552,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- neural-net ops ---------------------------------------------------------
 
-def _blocks(rows: int, row_bytes: int) -> list:
+def _blocks(rows: int, row_bytes: int, budget: Optional[int] = None) -> list:
     """Slices that cover ``range(rows)`` in blocks of whole rows, each
-    block's temporaries within ``_BLOCK_BYTES`` (one row at the least)."""
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    block's temporaries within ``budget`` bytes (``_BLOCK_BYTES`` if None;
+    one row at the least)."""
+    budget = _BLOCK_BYTES if budget is None else budget
+    step = max(1, budget // max(1, row_bytes))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
@@ -626,10 +645,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     taps = np.lib.stride_tricks.as_strided(
         flat, shape=(n, cin, kh, kw, span),
         strides=flat.strides[:2] + (wp * es, es, es), writeable=False)
-    # a floor of _BLOCK_BYTES // 256 bytes per position (256 positions at
-    # the default budget) keeps wide inputs (Cin = 180: 80 positions in a
-    # plain budget) from running many small GEMMs
-    blocks = _blocks(span, min(kk * es, _BLOCK_BYTES // 256))
+    # a block holds _BLOCK_BYTES // _CONV_SHARE bytes of columns, 512 KiB
+    # at the default budget; a floor of 1/256 of that per position (256
+    # positions) keeps wide inputs (Cin = 180: 80 positions in a plain
+    # 512 KiB) from running many small GEMMs
+    budget = _BLOCK_BYTES // _CONV_SHARE
+    blocks = _blocks(span, min(kk * es, budget // 256), budget)
     buf_size = kk * blocks[0].stop
 
     def columns(img, pos, buf):
@@ -698,13 +719,14 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
     (``attention.fold_norm``), so the kernel makes no pass for them; a
     given affine is applied with the ``mul`` and ``add`` ops.
 
-    Runs over blocks of rows (``_blocks``), every pass over a block while it
-    is in cache. The row mean and the row sum of squares are einsum
-    contractions, which need no squared temporary and beat numpy's slow
-    reductions over short rows. They are not BLAS products (x @ ones):
-    BLAS was faster still, but its row sums changed with the number of
-    rows in a block, so the output would depend on the block budget. The
-    normalized rows are the output, and backward reads them."""
+    Runs over blocks of rows (``_blocks``) of 2 C floats each, every pass
+    over a block while it is in cache; a layer chunk of 2,048 rows is one
+    block up to C = 512 (float32). The row mean and the row sum of squares
+    are einsum contractions, which need no squared temporary and beat
+    numpy's slow reductions over short rows. They are not BLAS products
+    (x @ ones): BLAS was faster still, but its row sums changed with the
+    number of rows in a block, so the output would depend on the block
+    budget. The normalized rows are the output, and backward reads them."""
     x = _wrap(x)
     c = x.shape[-1]
     if c == 0:
@@ -805,7 +827,9 @@ def _gelu_grad(xd: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact error-function GELU, x * Phi(x) = x (1 + erf(x / sqrt 2)) / 2,
-    over blocks of elements.
+    over blocks of elements (``_blocks``) of 5 floats each: one block for
+    a float32 layer chunk of 2,048 rows of up to 204 hidden channels, two
+    up to 409; a whole-image array runs in several.
 
     float32 takes erf from ``_erf_over_sqrt2``'s tanh form, so that float32
     GELU and its derivative stay within 1e-6 of their float64 values on
@@ -866,7 +890,9 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     mask) V with heads concatenated, [..., C].
 
     Windows run in blocks (``_blocks``) sized so that a block's scores,
-    [windows, heads, key, query], stay in cache from Q K^T to the output.
+    [windows, heads, key, query], stay in cache from Q K^T to the output:
+    a layer chunk of 2,048 rows holds heads * m^2 scores per row, one
+    block up to 1,024 of them (float32; 6 heads at window 8 take 384).
     Bias and the mask's -inf entries (added window by window, only on the
     block's boundary windows) update one buffer in place, which exp turns
     into E. E is never normalized: its column sums come from one product,

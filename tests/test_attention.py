@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -470,6 +471,52 @@ class TestStl:
             np.testing.assert_allclose(got.reshape(want.shape), want, atol=1e-5)
             runs.append([got])
         assert_all_equal(runs)
+
+    def test_layer_builds_its_weights_once_and_chunks_run_as_one_block(
+            self, rng, monkeypatch):
+        # a shifted lightweight layer (C = 60, window 8, 6 heads) on a
+        # 128^2 grid: 256 windows in 8 chunks of 32 windows (2,048 rows)
+        stl = init_params(lightweight_sr_config(2, 3), seed=0).rstbs[0].stls[1]
+        x = Tensor(rng.normal(size=(1, 16384, 60)).astype(np.float32))
+        builds = []
+        real_build = attention.layer_weights
+        monkeypatch.setattr(attention, "layer_weights",
+                            lambda p: builds.append(p) or real_build(p))
+        blocks = []
+        real_blocks = T._blocks
+
+        def spy(*args):
+            out = real_blocks(*args)
+            blocks.append((sys._getframe(1).f_code.co_name, len(out)))
+            return out
+
+        monkeypatch.setattr(T, "_blocks", spy)
+        for layer_calls in (1, 2):
+            with no_grad():
+                stl_forward(x, stl, WindowGrid(128, 128, 8))
+            assert builds == [stl] * layer_calls
+        per_kernel = {}
+        for kernel, count in blocks:
+            per_kernel.setdefault(kernel, []).append(count)
+        # per chunk: two LayerNorms, one GELU, one attention core
+        assert sorted(per_kernel) == ["gelu", "layer_norm", "window_attention"]
+        assert per_kernel["layer_norm"] == [1] * 2 * 8 * 2
+        assert per_kernel["gelu"] == [1] * 8 * 2
+        assert len(per_kernel["window_attention"]) == 8 * 2
+        assert max(per_kernel["window_attention"]) <= 2
+
+    def test_one_chunk_layer_same_with_and_without_tape(self, rng):
+        # a shifted lightweight layer on a 16^2 grid, four windows: the
+        # taped layer and the untaped one are the same single chunk, with
+        # the weights built once either way
+        stl = init_params(lightweight_sr_config(2, 3), seed=0).rstbs[0].stls[1]
+        x = rng.normal(size=(1, 256, 60)).astype(np.float32)
+        grid = WindowGrid(16, 16, 8)
+        taped = stl_forward(Tensor(x, requires_grad=True), stl, grid)
+        assert taped.requires_grad
+        with no_grad():
+            untaped = stl_forward(Tensor(x), stl, grid)
+        np.testing.assert_array_equal(taped.data, untaped.data)
 
     def test_untaped_layer_memory_bounded(self, monkeypatch):
         # one shifted lightweight layer (C = 60, window 8, 6 heads) on the

@@ -1,4 +1,5 @@
 import math
+import os
 import resource
 import struct
 import tracemalloc
@@ -400,6 +401,16 @@ class TestParallelForward:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         restore_image(params, lq)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+    def test_restore_on_a_platform_without_affinity_mask(self, rng, monkeypatch):
+        # where os has no sched_getaffinity the pool takes os.cpu_count(),
+        # and the chunks, hence the output, stay the same
+        params = init_params(tiny_config(channels=4, heads=2, stl_per_rstb=2), seed=0)
+        lq = ImageBuffer(rng.uniform(size=(20, 20, 1)).astype(np.float32))
+        want = restore_image(params, lq).data
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        np.testing.assert_array_equal(restore_image(params, lq).data, want)
 
 
 class TestFloat32Kernels:

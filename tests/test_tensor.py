@@ -1,4 +1,6 @@
+import ctypes
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -253,6 +255,39 @@ class TestParallelMap:
         usable_cpus(monkeypatch, 2)
         with no_grad(), pytest.raises(AssertionError, match="pool thread"):
             conv2d(x, w, padding=1)
+
+    def test_platform_without_affinity_mask_uses_every_cpu(self, monkeypatch):
+        # os.sched_getaffinity exists on Linux only; elsewhere the pool
+        # spreads over os.cpu_count() CPUs
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads = set()
+
+        def task(_):
+            threads.add(threading.get_ident())
+            threading.Event().wait(0.01)    # let both threads take an item
+
+        with no_grad():
+            parallel_for(task, range(8))
+        assert len(threads) == (1 if T._BLAS is None else 2)
+
+    def test_heap_setup_without_a_c_library_is_a_no_op(self, monkeypatch):
+        def unopenable(*args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", unopenable)
+        T._share_heap()
+        # the first pool of the process still starts and runs every item
+        monkeypatch.setattr(T, "_pool", None)
+        usable_cpus(monkeypatch, 2)
+        done = []
+        try:
+            with no_grad():
+                parallel_for(done.append, range(8))
+        finally:
+            if T._pool is not None:
+                T._pool[0].shutdown()
+        assert sorted(done) == list(range(8))
 
 
 # -- layer_norm -----------------------------------------------------------
