@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import resource
@@ -578,6 +579,70 @@ class TestCheckpoint:
         assert path.read_bytes() == serialize(params)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
+    @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
+                                         KeyboardInterrupt()])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, failure):
+        # the write that would pass the end of the first record fails
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"previous")
+        params = init_params(tiny_config(), seed=0)
+        name, first = next(params.named())
+        limit = 8 + 4 * len(_CONFIG_FIELDS) + 4 + 2 + len(name) + 1 \
+            + 8 * first.ndim + first.data.nbytes
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, part):
+                self.written += memoryview(part).nbytes
+                if self.written > limit:
+                    raise failure
+                return self.fh.write(part)
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda file, mode: FailingFile(open(file, mode)),
+                            raising=False)
+        with pytest.raises(type(failure)):
+            save_checkpoint(params, str(path))
+        assert path.read_bytes() == b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_format_pinned(self):
+        # the v1 and v2 files of a fixed tiny model: any change to the
+        # layout or the stored values changes these digests
+        params = init_params(tiny_config(), seed=0)
+        assert hashlib.sha256(serialize(params)).hexdigest() == \
+            "d93dfe86cda1f7b1e425d4d8ae06943eedc8384c2485f5d76d2cdfd311f0d353"
+        assert hashlib.sha256(serialize(params, TrainState.fresh(params, 0))).hexdigest() == \
+            "8ecb22ede0bf532e1e5634cbd1743558e2cd54bdb2dc254c888af2e720067c51"
+
+    def test_save_and_load_hold_no_second_copy(self, tmp_path):
+        # a save holds no copy of the parameters, a load only the arrays
+        # it returns (3.1 MB here)
+        params = init_params(lightweight_sr_config(2, 3), seed=0)
+        path = str(tmp_path / "model.ckpt")
+        largest = max(t.data.nbytes for _, t in params.named())
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        returned = sum(t.data.nbytes for _, t in loaded.named())
+        assert save_peak < largest + 256 * 1024
+        assert load_peak < returned + 256 * 1024
+
     def test_bad_magic_refused(self):
         with pytest.raises(CheckpointError, match="magic"):
             deserialize(b"NOPE" + b"\x00" * 64)
@@ -685,17 +750,55 @@ class TestCheckpoint:
         params = init_params(tiny_config(), seed=0)
         for state in (None, TrainState.fresh(params, 0)):
             body = bytearray(serialize(params, state)[:-4])
-            off = 8 + 4 * len(_CONFIG_FIELDS) + 4     # magic .. record count
-            offsets = list(range(off))
-            for name, t in params.named():
-                head = 2 + len(name) + 1 + 8 * t.ndim
-                offsets += range(off, off + head)
-                off += head + 4 * t.size
-            if state is not None:
-                offsets += range(off, off + 24)
-            for byte in offsets:
-                for bit in range(8):
-                    _flip_loads_or_refuses(body, 8 * byte + bit)
+            for offsets in _header_fields(params, state).values():
+                for byte in offsets:
+                    for bit in range(8):
+                        _flip_loads_or_refuses(body, 8 * byte + bit)
+
+    @pytest.mark.parametrize("version, field", [
+        (version, field) for version in (1, 2)
+        for field in ("version", "config", "count", "name length", "name",
+                      "rank", "dims", "state")
+        if (version, field) != (1, "state")])
+    def test_header_byte_flip_without_crc_reads_checksum(self, version, field):
+        # the CRC decides the message even where the parse fails first
+        params = init_params(tiny_config(), seed=0)
+        state = TrainState.fresh(params, 0) if version == 2 else None
+        blob = serialize(params, state)
+        for byte in _header_fields(params, state)[field]:
+            flipped = bytearray(blob)
+            flipped[byte] ^= 0xFF
+            with pytest.raises(CheckpointError, match="checksum"):
+                deserialize(bytes(flipped))
+
+    def test_early_parse_error_in_large_file_reads_checksum(self):
+        # the CRC runs over the 3.2 MB left after the version, in bounded reads
+        blob = bytearray(serialize(init_params(lightweight_sr_config(2, 3), seed=0)))
+        blob[4] ^= 0xFF
+        with pytest.raises(CheckpointError, match="checksum"):
+            deserialize(bytes(blob))
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+            deserialize(bytes(blob))
+
+
+def _header_fields(params: ModelParams, state) -> dict:
+    """Byte offsets of every field that is not a stored float value, by
+    field, in a file of ``params`` and ``state``."""
+    config_end = 8 + 4 * len(_CONFIG_FIELDS)
+    fields = {"magic": range(4), "version": range(4, 8),
+              "config": range(8, config_end), "count": range(config_end, config_end + 4),
+              "name length": [], "name": [], "rank": [], "dims": []}
+    off = config_end + 4
+    for name, t in params.named():
+        for field, size in (("name length", 2), ("name", len(name)), ("rank", 1),
+                            ("dims", 8 * t.ndim)):
+            fields[field] += range(off, off + size)
+            off += size
+        off += 4 * t.size
+    if state is not None:
+        fields["state"] = range(off, off + 24)
+    return fields
 
 
 def _flip_loads_or_refuses(body: bytearray, bit: int) -> None:
