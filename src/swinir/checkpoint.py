@@ -31,7 +31,6 @@ arrays (with Adam m and v in version 2) and one finiteness mask.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import os
@@ -42,6 +41,7 @@ from typing import BinaryIO, Optional, Tuple
 
 import numpy as np
 
+from .imageio import atomic_path
 from .model import (HEAD_STYLES, MLP_RATIO_STEPS, TASKS, ModelParams,
                     SwinIRConfig, build_params, param_count)
 
@@ -113,18 +113,9 @@ def serialize(params: ModelParams, state=None) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path: str, state=None) -> None:
-    """Write through a temporary file and rename, so a crash never leaves
-    a half-written checkpoint at ``path``; a failed save removes the
-    temporary file and leaves ``path`` as it was."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write(fh, params, state)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write ``path`` through ``imageio.atomic_path``, never half-written."""
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        _write(fh, params, state)
 
 
 class _Body:

@@ -152,15 +152,16 @@ def _check_out(path: str, directory: bool) -> None:
         raise CliError(f"cannot write {path}: {target} is not writable", EXIT_DATA)
 
 
-def _inputs_and_out(args) -> tuple[list[str], bool]:
-    """The image paths --in names, and whether --out is a directory (for
-    a directory or several inputs), checked and then created."""
+def _inputs_and_out(args) -> list[tuple[str, str]]:
+    """(input, output) path pairs, --out checked first: for a directory or
+    several inputs, --out is a directory, created here, of the same names."""
     inputs = _gather_inputs(getattr(args, "in"))
     many = len(inputs) > 1 or os.path.isdir(getattr(args, "in"))
     _check_out(args.out, directory=many)
-    if many:
-        os.makedirs(args.out, exist_ok=True)
-    return inputs, many
+    if not many:
+        return [(inputs[0], args.out)]
+    os.makedirs(args.out, exist_ok=True)
+    return [(p, os.path.join(args.out, os.path.basename(p))) for p in inputs]
 
 
 def _read(load, path: str):
@@ -204,10 +205,12 @@ def cmd_degrade(args) -> int:
     spec = _task_degradation(args.task, args.scale, args.sigma, args.quality, seed)
     print(f"degradation: {spec.describe()}")
 
-    inputs, many = _inputs_and_out(args)
-    for i, path in enumerate(inputs):
-        out_img = degrade_image(_read(load_image, path), spec.for_item(seed, i))
-        dest = os.path.join(args.out, os.path.basename(path)) if many else args.out
+    for i, (path, dest) in enumerate(_inputs_and_out(args)):
+        img = _read(load_image, path)
+        try:
+            out_img = degrade_image(img, spec.for_item(seed, i))
+        except ValueError as exc:       # an image too small for the scale
+            raise CliError(f"{path}: {exc}", EXIT_DATA)
         save_image(out_img, dest)
     return EXIT_OK
 
@@ -253,15 +256,14 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     params = load_checkpoint(args.ckpt)
-    inputs, many = _inputs_and_out(args)
-    for path in inputs:
-        restored = _restore(params, _read(load_image, path), path)
-        dest = os.path.join(args.out, os.path.basename(path)) if many else args.out
-        save_image(restored, dest)
+    for path, dest in _inputs_and_out(args):
+        save_image(_restore(params, _read(load_image, path), path), dest)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    if args.border < 0:
+        raise CliError("--border must be >= 0", EXIT_USAGE)
     params = load_checkpoint(args.ckpt) if args.ckpt else None
     lq_by_name = {os.path.basename(p): p for p in _gather_inputs(args.lq_dir)}
     hq_by_name = {os.path.basename(p): p for p in _gather_inputs(args.hq_dir)}

@@ -6,6 +6,7 @@ bit-exactly through the 8-bit quantization.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -110,16 +111,28 @@ def load_image(path: str) -> ImageBuffer:
     return ImageBuffer(arr.copy(), color="gray" if channels == 1 else "rgb")
 
 
+@contextlib.contextmanager
+def atomic_path(path: str):
+    """Yield ``path + ".tmp"`` to write, then rename it over ``path``; if the
+    block or the rename fails, remove it and leave ``path`` as it was."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_image(img: ImageBuffer, path: str) -> None:
     """Write P5 (1 channel) or P6 (3 channels), maxval 255."""
     u8 = img.to_u8()
     magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(u8.tobytes())
-    os.replace(tmp, path)
 
 
 def image_paths(directory: str) -> list[str]:

@@ -599,43 +599,24 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _make(out.reshape(*lead, dout), parents, backward)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0) -> Tensor:
-    """2-d cross-correlation, stride 1, zero padding.
+def _correlate(xp: np.ndarray, w: np.ndarray,
+               bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stride-1 cross-correlation of the padded xp [N, Cin, Hp, Wp] with
+    w [Cout, Cin, kh, kw] (+ bias[Cout]): [N, Cout, Hp-kh+1, Wp-kw+1].
 
-    x: [N, Cin, H, W]; weight: [Cout, Cin, k, k]; output [N, Cout, H', W']
-    with H' = H + 2*padding - k + 1.
-
-    Blocked im2col (Cho & Brand, "MEC", arXiv 1706.06873): the padded input
-    is viewed as ``flat`` [N, Cin, Hp*Wp], and output position p of an
-    H' x Wp grid reads ``flat[:, :, p + i*Wp + j]`` for tap (i, j), so each
-    tap of a run of positions is one contiguous slice. Per image, the
-    ``span`` = (H'-1)*Wp + W' positions run in blocks (``_blocks``) whose
-    [Cin*kh*kw, L] columns fit ``_BLOCK_BYTES``: one copy from a strided
-    view of the taps fills one reused column buffer, one GEMM writes the
-    block's outputs. The Wp - W' junk columns of each grid row are dropped
-    at the end. The whole column matrix never exists. Inside ``no_grad``
-    the (image, block) pairs go over ``parallel_for``, with one column
-    buffer per thread; every block's arithmetic stays the same.
-
-    The tape keeps only the padded input. Backward recomputes each block's
-    columns, accumulates dW += g_blk cols^T, and scatter-adds
-    dcols = W^T g_blk back into ``flat``'s gradient as kh*kw slices.
+    Blocked im2col (Cho & Brand, "MEC", arXiv 1706.06873): xp is viewed as
+    ``flat`` [N, Cin, Hp*Wp], and output position p of an H' x Wp grid reads
+    ``flat[:, :, p + i*Wp + j]`` for tap (i, j), so each tap of a run of
+    positions is one contiguous slice. Per image, the (H'-1)*Wp + W'
+    positions run in blocks (``_blocks``): one copy from a strided view of
+    the taps fills a reused [Cin*kh*kw, L] column buffer, one per thread,
+    and one GEMM writes the block's outputs; the Wp - W' junk columns of
+    each grid row are dropped at the end. The (image, block) pairs go over
+    ``parallel_for``; every block's arithmetic is the same on any thread.
     """
-    x = _wrap(x)
-    n, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
-    if cin != cin_w:
-        raise ValueError(f"conv2d: input has {cin} channels, weight expects {cin_w}")
-    hp, wp = h + 2 * padding, w + 2 * padding
+    n, cin, hp, wp = xp.shape
+    cout, _, kh, kw = w.shape
     hout, wout = hp - kh + 1, wp - kw + 1
-    if hout <= 0 or wout <= 0:
-        raise ValueError(f"conv2d: non-positive output size {hout}x{wout}")
-
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
     flat = xp.reshape(n, cin, hp * wp)
     span = (hout - 1) * wp + wout
     kk = cin * kh * kw
@@ -652,58 +633,71 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     budget = _BLOCK_BYTES // _CONV_SHARE
     blocks = _blocks(span, min(kk * es, budget // 256), budget)
     buf_size = kk * blocks[0].stop
-
-    def columns(img, pos, buf):
-        """Block ``pos`` of image ``img``'s column matrix, [Cin*kh*kw, L]
-        in (cin, i, j) order, in ``buf``: one copy that walks the input
-        channel by channel, so each channel's rows stay in cache for all
-        of its taps."""
-        cols = buf[:kk * (pos.stop - pos.start)].reshape(cin, kh, kw, -1)
-        cols[...] = taps[img, ..., pos]
-        return cols.reshape(kk, -1)
-
-    wmat = weight.data.reshape(cout, kk)
+    wmat = w.reshape(cout, kk)
     # positions past span (the last grid row's junk tail) are never written
     grid = np.empty((n, cout, hout * wp), dtype=np.result_type(xp, wmat))
     local = threading.local()         # one column buffer per thread
 
-    def forward_block(task):
+    def block(task):
         img, pos = task
         buf = getattr(local, "buf", None)
         if buf is None:
             buf = local.buf = np.empty(buf_size, dtype=xp.dtype)
+        # (cin, i, j) order, as in wmat: the copy walks the input channel
+        # by channel, so each channel's rows stay in cache for all its taps
+        cols = buf[:kk * (pos.stop - pos.start)].reshape(cin, kh, kw, -1)
+        cols[...] = taps[img, ..., pos]
         ob = grid[img, :, pos]
-        np.matmul(wmat, columns(img, pos, buf), out=ob)
+        np.matmul(wmat, cols.reshape(kk, -1), out=ob)
         if bias is not None:
-            ob += bias.data[:, None]
+            ob += bias[:, None]
 
-    parallel_for(forward_block, [(img, pos) for img in range(n) for pos in blocks])
-    out = grid.reshape(n, cout, hout, wp)[:, :, :, :wout]
+    parallel_for(block, [(img, pos) for img in range(n) for pos in blocks])
+    return grid.reshape(n, cout, hout, wp)[:, :, :, :wout]
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+           padding: int = 0) -> Tensor:
+    """2-d cross-correlation, stride 1, zero padding.
+
+    x: [N, Cin, H, W]; weight: [Cout, Cin, k, k]; output [N, Cout, H', W']
+    with H' = H + 2*padding - k + 1. Both directions run ``_correlate``: dx
+    correlates g, padded by k - 1 - padding (cropped where that is
+    negative), with the kernel flipped in both spatial axes and Cin, Cout
+    swapped (Dumoulin & Visin, arXiv 1603.07285). dW is one batched GEMM
+    per tap: g on the padded input's Wp-stride grid, zero in the junk
+    columns, times the tap's slice of it. The tape keeps the padded input.
+    """
+    x = _wrap(x)
+    n, cin, h, w = x.shape
+    cout, cin_w, kh, kw = weight.shape
+    if cin != cin_w:
+        raise ValueError(f"conv2d: input has {cin} channels, weight expects {cin_w}")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    hout, wout = hp - kh + 1, wp - kw + 1
+    if hout <= 0 or wout <= 0:
+        raise ValueError(f"conv2d: non-positive output size {hout}x{wout}")
+
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = _correlate(xp, weight.data, None if bias is None else bias.data)
 
     def backward(g):
+        if x.requires_grad:
+            qh, qw = kh - 1 - padding, kw - 1 - padding      # < 0: crop g
+            gp = np.pad(g[:, :, max(-qh, 0):hout + min(qh, 0), max(-qw, 0):wout + min(qw, 0)],
+                        ((0, 0), (0, 0), (max(qh, 0),) * 2, (max(qw, 0),) * 2))
+            x._accumulate(_correlate(gp, weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+        span = (hout - 1) * wp + wout
         ggrid = np.zeros((n, cout, hout * wp), dtype=g.dtype)
         ggrid.reshape(n, cout, hout, wp)[:, :, :, :wout] = g
-        dw = np.zeros_like(wmat)
-        dflat = np.zeros_like(flat, dtype=g.dtype)
-        buf = np.empty(buf_size, dtype=xp.dtype)
-        dbuf = np.empty(buf_size, dtype=g.dtype)
-        for img in range(n):
-            for pos in blocks:
-                length = pos.stop - pos.start
-                gb = ggrid[img, :, pos]
-                dw += gb @ columns(img, pos, buf).T
-                db = dbuf[:kk * length].reshape(kk, length)
-                np.matmul(wmat.T, gb, out=db)
-                db = db.reshape(cin, kh, kw, length)
-                for i in range(kh):
-                    for j in range(kw):
-                        at = pos.start + i * wp + j
-                        dflat[img, :, at:at + length] += db[:, i, j]
-        weight._accumulate(dw.reshape(weight.shape))
+        flat = xp.reshape(n, cin, hp * wp)
+        dw = np.empty((cout, cin, kh, kw), dtype=g.dtype)
+        for i, j in np.ndindex(kh, kw):
+            tap = flat[:, :, i * wp + j:i * wp + j + span].transpose(0, 2, 1)
+            dw[:, :, i, j] = np.matmul(ggrid[:, :, :span], tap).sum(axis=0)
+        weight._accumulate(dw)
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
-        dxp = dflat.reshape(n, cin, hp, wp)
-        x._accumulate(dxp[:, :, padding:padding + h, padding:padding + w])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out, parents, backward)

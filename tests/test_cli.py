@@ -183,6 +183,16 @@ class TestDegrade:
         assert (out.height, out.width) == (32, 32)
         capsys.readouterr()
 
+    def test_image_below_scale_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "dot.pgm"
+        save_image(ImageBuffer(np.zeros((1, 1), dtype=np.float32)), str(src))
+        rc = main(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
+                   "--in", str(src), "--out", str(tmp_path / "o.pgm")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(src) in err and "smaller than the downscale factor" in err
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         rc = main(["degrade", "--task", "car", "--quality", "10", "--seed", "1",
                    "--in", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.pgm")])
@@ -457,6 +467,20 @@ class TestInferEval:
                    "--hq-dir", str(tmp_path / "hq")])
         assert rc == 3
         assert "img0.pgm" in capsys.readouterr().err
+
+    def test_eval_negative_border_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        write_images(tmp_path / "hq", n=1, size=24)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_image", refuse)
+        rc = main(["eval", "--lq-dir", str(tmp_path / "hq"),
+                   "--hq-dir", str(tmp_path / "hq"), "--border", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--border must be >= 0" in captured.err
+        assert captured.out == ""
 
     def test_eval_channel_mismatch_is_data_error(self, tmp_path, capsys):
         ckpt, _ = make_ckpt(tmp_path)

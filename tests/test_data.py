@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,19 @@ class TestNetpbm:
         save_image(back, path + "2")
         with open(path, "rb") as f1, open(path + "2", "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"previous")
+
+        def crash(src, dst):
+            raise OSError("crash before rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crash before rename"):
+            save_image(ImageBuffer(np.zeros((2, 2), np.float32)), str(path))
+        assert path.read_bytes() == b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.pgm"]
 
     def test_2x2_p5_exact_values(self, tmp_path):
         path = str(tmp_path / "t.pgm")

@@ -77,11 +77,12 @@ class TestConv2d:
         return out, [dx, dw, g.sum(axis=(0, 2, 3))]
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_matches_loop_oracle_under_block_budgets(self, rng, monkeypatch, k, padding):
         # small integers: every sum is exact in float64 whatever the order,
         # so any slip in the blocks' offsets or the junk columns shows as an
-        # exact mismatch
+        # exact mismatch; the input gradient pads g by k - 1 - padding, from
+        # 2 down to -2 over these cases, a crop where it is negative
         x = rng.integers(-3, 4, size=(2, 3, 5, 7)).astype(np.float64)
         w = rng.integers(-3, 4, size=(4, 3, k, k)).astype(np.float64)
         b = rng.integers(-3, 4, size=(4,)).astype(np.float64)
@@ -104,6 +105,33 @@ class TestConv2d:
                 np.testing.assert_array_equal(got, want)
             runs.append([out, pooled] + grads)
         assert_all_equal(runs)
+
+    def test_float32_gradients_match_float64_tape(self, rng, monkeypatch):
+        x = rng.normal(size=(2, 16, 12, 12))
+        w = rng.normal(size=(16, 16, 3, 3)) * 0.2
+        g = rng.normal(size=(2, 16, 12, 12))
+        want = tape_gradients(
+            lambda xx, ww: sum_(conv2d(xx, ww, padding=1) * Tensor(g)), [x, w])
+        for _ in block_budgets(monkeypatch):
+            xs = Tensor(x.astype(np.float32), requires_grad=True)
+            ws = Tensor(w.astype(np.float32), requires_grad=True)
+            sum_(conv2d(xs, ws, padding=1) * Tensor(g.astype(np.float32))).backward()
+            for got, ref in ((xs.grad, want[0]), (ws.grad, want[1])):
+                assert got.dtype == np.float32
+                assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("needs_dx", [True, False])
+    def test_backward_runs_the_forward_kernel_for_dx_only(self, rng, monkeypatch,
+                                                          needs_dx):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=needs_dx)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        loss = sum_(conv2d(x, w, padding=1))
+        calls = []
+        real = T._correlate
+        monkeypatch.setattr(T, "_correlate", lambda *a: calls.append(a) or real(*a))
+        loss.backward()
+        assert len(calls) == int(needs_dx)
+        assert w.grad is not None and (x.grad is not None) == needs_dx
 
     def test_gradients_one_position_per_block(self, rng, monkeypatch):
         monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
