@@ -9,6 +9,7 @@ the run can be reproduced. gradcheck takes --seed too, 0 by default.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .degrade import DegradationSpec, degrade_image
 from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
-                      read_manifest, save_image)
+                      read_image_shape, read_manifest, save_image)
 from .metrics import SSIM_MIN_SIDE, eval_pair
 from .model import SwinIRConfig, tiny_config
 from .train import (PairDataset, TrainConfig, gradcheck,
@@ -57,7 +58,10 @@ def _parse_value(default: object, val: str) -> object:
         if val.lower() not in ("true", "false", "0", "1"):
             raise ValueError("expected a boolean")
         return val.lower() in ("true", "1")
-    return type(default)(val)
+    value = type(default)(val)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
@@ -152,12 +156,17 @@ def _check_out(path: str, directory: bool) -> None:
         raise CliError(f"cannot write {path}: {target} is not writable", EXIT_DATA)
 
 
-def _inputs_and_out(args) -> list[tuple[str, str]]:
-    """(input, output) path pairs, --out checked first: for a directory or
-    several inputs, --out is a directory, created here, of the same names."""
+def _inputs_and_out(args, check) -> list[tuple[str, str]]:
+    """(input, output) path pairs, --out checked first, then every input by
+    ``check(path, height, width, channels)`` from its header alone, so that
+    a bad input stops the command before anything is written: for a
+    directory or several inputs, --out is a directory, created here, of
+    the same names."""
     inputs = _gather_inputs(getattr(args, "in"))
     many = len(inputs) > 1 or os.path.isdir(getattr(args, "in"))
     _check_out(args.out, directory=many)
+    for path in inputs:
+        check(path, *_read(read_image_shape, path))
     if not many:
         return [(inputs[0], args.out)]
     os.makedirs(args.out, exist_ok=True)
@@ -183,15 +192,15 @@ def _load_images(path: str) -> list[tuple[str, ImageBuffer]]:
     return [(p, _read(load_image, p)) for p in names]
 
 
-def _check_channels(cfg: SwinIRConfig, img: ImageBuffer, path: str) -> None:
+def _check_channels(cfg: SwinIRConfig, channels: int, path: str) -> None:
     """An image of the wrong channel count for the model is a data error."""
-    if img.channels != cfg.in_channels:
-        raise CliError(f"{path}: {img.channels} channels, model expects "
+    if channels != cfg.in_channels:
+        raise CliError(f"{path}: {channels} channels, model expects "
                        f"{cfg.in_channels}", EXIT_DATA)
 
 
 def _restore(params, img: ImageBuffer, path: str) -> ImageBuffer:
-    _check_channels(params.config, img, path)
+    _check_channels(params.config, img.channels, path)
     return restore_image(params, img)
 
 
@@ -205,13 +214,15 @@ def cmd_degrade(args) -> int:
     spec = _task_degradation(args.task, args.scale, args.sigma, args.quality, seed)
     print(f"degradation: {spec.describe()}")
 
-    for i, (path, dest) in enumerate(_inputs_and_out(args)):
-        img = _read(load_image, path)
+    def check(path, height, width, channels):
         try:
-            out_img = degrade_image(img, spec.for_item(seed, i))
+            spec.check_size(height, width)
         except ValueError as exc:       # an image too small for the scale
             raise CliError(f"{path}: {exc}", EXIT_DATA)
-        save_image(out_img, dest)
+
+    for i, (path, dest) in enumerate(_inputs_and_out(args, check)):
+        img = _read(load_image, path)
+        save_image(degrade_image(img, spec.for_item(seed, i)), dest)
     return EXIT_OK
 
 
@@ -234,7 +245,7 @@ def cmd_train(args) -> int:
     # checked here, not at the first step or validation that meets them
     side = train_cfg.patch_size * model_cfg.scale
     for path, img in hq + val:
-        _check_channels(model_cfg, img, path)
+        _check_channels(model_cfg, img.channels, path)
     for path, img in hq:
         if min(img.height, img.width) < side:
             raise CliError(f"{path}: {img.height}x{img.width} is smaller than the "
@@ -256,8 +267,12 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     params = load_checkpoint(args.ckpt)
-    for path, dest in _inputs_and_out(args):
-        save_image(_restore(params, _read(load_image, path), path), dest)
+
+    def check(path, height, width, channels):
+        _check_channels(params.config, channels, path)
+
+    for path, dest in _inputs_and_out(args, check):
+        save_image(restore_image(params, _read(load_image, path)), dest)
     return EXIT_OK
 
 

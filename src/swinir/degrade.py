@@ -11,6 +11,7 @@ Everything here is a deterministic function of (input, spec, seed).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -33,8 +34,8 @@ class DegradationSpec:
             raise ValueError(f"unknown degradation {self.kind!r}")
         if self.kind == "bicubic" and self.scale < 2:
             raise ValueError("bicubic degradation needs scale >= 2")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if not 1 <= self.quality <= 100:
             raise ValueError("quality must be in [1, 100]")
 
@@ -52,6 +53,11 @@ class DegradationSpec:
         if self.kind != "gaussian_noise":
             return self
         return replace(self, seed=derive(seed, *labels))
+
+    def check_size(self, height: int, width: int) -> None:
+        """Refuse (ValueError) an image too small for this degradation."""
+        if self.kind == "bicubic" and min(height, width) < self.scale:
+            raise ValueError("image smaller than the downscale factor")
 
 
 # -- bicubic resampling ---------------------------------------------------
@@ -181,9 +187,8 @@ def dct_quantize_degrade(img: ImageBuffer, quality: int) -> ImageBuffer:
 # -- dispatch and pair sampling -------------------------------------------
 
 def degrade_image(img: ImageBuffer, spec: DegradationSpec) -> ImageBuffer:
+    spec.check_size(img.height, img.width)
     if spec.kind == "bicubic":
-        if img.height < spec.scale or img.width < spec.scale:
-            raise ValueError("image smaller than the downscale factor")
         return bicubic_resize(img, img.height // spec.scale,
                               img.width // spec.scale)
     if spec.kind == "gaussian_noise":

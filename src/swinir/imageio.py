@@ -60,55 +60,72 @@ def quantize_u8(x: np.ndarray) -> np.ndarray:
     return np.floor(scaled + 0.5).astype(np.uint8)
 
 
-def _read_header_tokens(blob: bytes, count: int, start: int):
-    """Pull whitespace-separated header tokens, skipping # comments."""
+def _header_tokens(fh, count: int) -> list[bytes]:
+    """``count`` whitespace-separated header tokens, skipping # comments.
+    Reads one byte past the last token: the single whitespace byte that
+    ends the header."""
     tokens = []
-    i = start
-    n = len(blob)
+    c = fh.read(1)
     while len(tokens) < count:
-        while i < n and blob[i:i + 1].isspace():
-            i += 1
-        if i < n and blob[i:i + 1] == b"#":
-            while i < n and blob[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < n and not blob[j:j + 1].isspace():
-            j += 1
-        if j == i:
-            raise ImageFormatError("truncated header")
-        tokens.append(blob[i:j])
-        i = j
-    return tokens, i
+        if c.isspace():
+            c = fh.read(1)
+        elif c == b"#":
+            fh.readline()
+            c = fh.read(1)
+        else:
+            token = bytearray()
+            while c and not c.isspace():
+                token += c
+                c = fh.read(1)
+            if not token:
+                raise ImageFormatError("truncated header")
+            tokens.append(bytes(token))
+    return tokens
 
 
-def load_image(path: str) -> ImageBuffer:
-    """Read a binary PGM (P5) or PPM (P6) file, maxval 255."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 2:
+def _read_header(fh, path: str) -> tuple[int, int, int]:
+    """(height, width, channels) of a binary PGM (P5) or PPM (P6) file,
+    maxval 255, leaving ``fh`` at the payload. The payload must run to the
+    end of the file: one file holds one image."""
+    magic = fh.read(2)
+    if len(magic) < 2:
         raise ImageFormatError(f"{path}: not a netpbm file")
-    magic = blob[:2]
     if magic not in (b"P5", b"P6"):
         raise ImageFormatError(f"{path}: unsupported magic {magic!r}")
     try:
-        tokens, pos = _read_header_tokens(blob, 3, 2)
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in _header_tokens(fh, 3))
     except (ValueError, ImageFormatError) as exc:
         raise ImageFormatError(f"{path}: malformed header ({exc})") from None
     if maxval != 255:
         raise ImageFormatError(f"{path}: unsupported maxval {maxval} (need 255)")
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: bad dimensions {width}x{height}")
-    pos += 1  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    payload = blob[pos:pos + need]
-    if len(payload) < need:
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < need:
         raise ImageFormatError(
-            f"{path}: truncated payload ({len(payload)} of {need} bytes)")
+            f"{path}: truncated payload ({have} of {need} bytes)")
+    if have > need:
+        raise ImageFormatError(f"{path}: {have - need} bytes after the "
+                               f"{need}-byte payload (one file holds one image)")
+    return height, width, channels
+
+
+def read_image_shape(path: str) -> tuple[int, int, int]:
+    """(height, width, channels) of an image file, refused as ``load_image``
+    would refuse it, from its header and size alone."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def load_image(path: str) -> ImageBuffer:
+    """Read a binary PGM (P5) or PPM (P6) file, maxval 255."""
+    with open(path, "rb") as fh:
+        height, width, channels = _read_header(fh, path)
+        payload = fh.read(height * width * channels)
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return ImageBuffer(arr.copy(), color="gray" if channels == 1 else "rgb")
+    return ImageBuffer(arr, color="gray" if channels == 1 else "rgb")
 
 
 @contextlib.contextmanager

@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -789,10 +788,14 @@ def _erf_over_sqrt2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """erf(x / sqrt 2) = 2 Phi(x) - 1 into ``out`` (which may be ``x``),
     any layout.
 
-    float64 takes scipy's erf. float32 takes tanh(u) as set out above: 17
-    elementwise passes, within 2.3e-7 of float64 on [-10, 10]; NaN stays
-    NaN and +-inf give +-1."""
+    float64 takes scipy's erf, imported on its first call so that a float32
+    process never loads scipy.special (about 20 MB of RSS and 0.25 s of
+    start-up); the import system's per-module lock makes a second thread
+    that arrives meanwhile wait for the finished module. float32 takes
+    tanh(u) as set out above: 17 elementwise passes, within 2.3e-7 of
+    float64 on [-10, 10]; NaN stays NaN and +-inf give +-1."""
     if x.dtype != np.float32:
+        from scipy.special import erf
         np.multiply(x, _INV_SQRT2, out=out)
         return erf(out, out=out)
     with np.errstate(over="ignore"):      # huge |x|: inf, which tanh maps to +-1

@@ -45,8 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.iterations < 0 or self.batch_size < 1 or self.patch_size < 1:
             raise ValueError("bad loop sizing")
         if self.val_period < 1:
@@ -341,6 +341,8 @@ def gradcheck(model_cfg: SwinIRConfig, tolerance: float = 1e-4,
     no difference sits near the non-differentiable tie.
     """
     model_cfg.validate()
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"gradcheck tolerance must be finite and >= 0, got {tolerance}")
     rng = SplitMix64(derive(seed, 0x6C))
     params = init_params(model_cfg, seed=derive(seed, 0x1817), dtype=np.float64)
     h = w = image_size

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import re
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import swinir.train as train_mod
 from swinir import cli
 from swinir.checkpoint import save_checkpoint
 from swinir.cli import main, parse_config_file
@@ -151,6 +153,23 @@ class TestParsing:
         assert rc == 2
         assert ("sigma" if "sigma" in overrides else "quality") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("lr", "nan"), ("lr", "inf"),
+                                           ("sigma", "-inf"), ("mlp_ratio", "nan")])
+    def test_non_finite_config_value_usage_error(self, tmp_path, key, value, capsys):
+        cfg = write_config(tmp_path / "c.cfg", **{key: value})
+        write_images(tmp_path / "data", n=1)
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "run"), "--iterations", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {key}" in err and "finite" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_train_config_refuses_non_finite_lr(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(lr=lr)
+
 
 class TestDegrade:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -172,6 +191,14 @@ class TestDegrade:
         assert rc == 2
         capsys.readouterr()
 
+    def test_non_finite_sigma_usage_error(self, tmp_path, capsys):
+        [src] = write_images(tmp_path / "in", n=1)
+        rc = main(["degrade", "--task", "denoise", "--sigma", "nan",
+                   "--seed", "1", "--in", str(src), "--out", str(tmp_path / "o.pgm")])
+        assert rc == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_sr_scale_halves_size(self, tmp_path, capsys):
         img = ImageBuffer(np.zeros((64, 64, 1), dtype=np.float32))
         src = tmp_path / "big.pgm"
@@ -192,6 +219,17 @@ class TestDegrade:
         err = capsys.readouterr().err
         assert str(src) in err and "smaller than the downscale factor" in err
         assert not (tmp_path / "o.pgm").exists()
+
+    def test_later_image_below_scale_writes_nothing(self, tmp_path, capsys):
+        write_images(tmp_path / "in", n=2, size=8)
+        save_image(ImageBuffer(np.zeros((1, 1), dtype=np.float32)),
+                   str(tmp_path / "in" / "z.pgm"))
+        rc = main(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
+                   "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "z.pgm" in err and "smaller than the downscale factor" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         rc = main(["degrade", "--task", "car", "--quality", "10", "--seed", "1",
@@ -416,6 +454,22 @@ class TestInferEval:
         assert rc == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", ["channels", "trailing bytes", "truncated"])
+    def test_later_bad_image_writes_nothing(self, tmp_path, bad, capsys):
+        ckpt, _ = make_ckpt(tmp_path)
+        write_images(tmp_path / "in", n=2, size=16)
+        if bad == "channels":
+            [last] = write_images(tmp_path / "in", n=1, size=16, channels=3)
+        else:
+            last = tmp_path / "in" / "z.pgm"
+            blob = (tmp_path / "in" / "img0.pgm").read_bytes()
+            last.write_bytes(blob + bytes(40) if bad == "trailing bytes" else blob[:-1])
+        rc = main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "in"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert last.name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_corrupted_checkpoint_exit_3(self, tmp_path, capsys):
         ckpt, _ = make_ckpt(tmp_path)
         blob = bytearray(ckpt.read_bytes())
@@ -515,6 +569,17 @@ class TestGradcheckInspect:
         rc = main(["gradcheck", "--tolerance", "0"])
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_gradcheck_bad_tolerance_usage_error(self, tolerance, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(train_mod, "init_params", refuse)
+        rc = main(["gradcheck", "--tolerance", tolerance])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err and captured.out == ""
 
     def test_inspect_total_matches_param_count(self, tmp_path, capsys):
         cfg = tiny_config(task="sr", scale=2, channels=16, heads=2)

@@ -12,7 +12,7 @@ from swinir.degrade import (DegradationSpec, _keys, _resize_matrix,
                             degrade_image, procedural_texture, quant_table,
                             sample_patch_pair)
 from swinir.imageio import (ImageBuffer, ImageFormatError, load_image,
-                            read_manifest, save_image)
+                            read_image_shape, read_manifest, save_image)
 
 
 class TestNetpbm:
@@ -73,6 +73,21 @@ class TestNetpbm:
             fh.write(b"P5\n4 4\n255\n" + bytes([1, 2, 3]))
         with pytest.raises(ImageFormatError, match="truncated"):
             load_image(path)
+
+    def test_bytes_after_payload_refused(self, tmp_path):
+        # netpbm allows several images in one file; this reader takes one
+        path = str(tmp_path / "t.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n2 2\n255\n" + bytes(4 + 40))
+        for read in (load_image, read_image_shape):
+            with pytest.raises(ImageFormatError, match="40 bytes after") as exc:
+                read(path)
+            assert path in str(exc.value)
+
+    def test_read_image_shape(self, tmp_path):
+        path = str(tmp_path / "t.ppm")
+        save_image(ImageBuffer(np.zeros((3, 5, 3), np.float32), color="rgb"), path)
+        assert read_image_shape(path) == (3, 5, 3)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "t.pgm")

@@ -1,6 +1,7 @@
 import ctypes
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -454,6 +455,62 @@ class TestErf:
         phi = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
         np.testing.assert_array_equal(gelu(Tensor(x)).data, x * cdf)
         np.testing.assert_array_equal(T._gelu_grad(x), cdf + x * phi)
+
+    def test_float32_process_never_loads_scipy_special(self):
+        # a fresh interpreter: a float32 restore and a short training run
+        # leave scipy.special unloaded; two threads then reach the float64
+        # GELU's first erf at once, and both get scipy's values bit for bit
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-c", FLOAT32_THEN_FLOAT64], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["float32-clean", "float64-exact"]
+
+
+FLOAT32_THEN_FLOAT64 = """
+import math, sys, tempfile, threading
+import numpy as np
+import swinir.cli
+from swinir.degrade import DegradationSpec, procedural_texture
+from swinir.model import init_params, tiny_config
+from swinir.tensor import Tensor, gelu
+from swinir.train import (PairDataset, TrainConfig, make_validation_pairs,
+                          restore_image, train)
+
+cfg = tiny_config()
+img = procedural_texture(0, 16, 16)
+restore_image(init_params(cfg, seed=0), img)
+spec = DegradationSpec(kind="gaussian_noise", sigma=25.0)
+with tempfile.TemporaryDirectory() as out:
+    train(cfg, TrainConfig(iterations=2, batch_size=2, patch_size=8, val_period=1),
+          PairDataset(hq_images=[img], spec=spec), make_validation_pairs([img], spec),
+          out_dir=out)
+assert "scipy.special" not in sys.modules
+print("float32-clean")
+
+x = np.linspace(-9.0, 9.0, 40001)
+barrier = threading.Barrier(2)
+got = [None, None]
+
+def first_erf(i):
+    barrier.wait()
+    got[i] = gelu(Tensor(x)).data
+
+threads = [threading.Thread(target=first_erf, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+assert "scipy.special" in sys.modules
+from scipy.special import erf
+want = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+for g in got:
+    np.testing.assert_array_equal(g, want)
+print("float64-exact")
+"""
 
 
 class TestSoftmax:
