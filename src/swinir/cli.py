@@ -23,7 +23,7 @@ from .degrade import DegradationSpec, degrade_image
 from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
                       read_image_shape, read_manifest, save_image)
 from .metrics import SSIM_MIN_SIDE, eval_pair
-from .model import SwinIRConfig, tiny_config
+from .model import SwinIRConfig, param_count, tiny_config
 from .train import (PairDataset, TrainConfig, gradcheck,
                     make_validation_pairs, psnr_border, restore_image, train)
 
@@ -89,13 +89,48 @@ def parse_config_file(path: str) -> Dict[str, object]:
     return values
 
 
+def _check_memory(model_cfg: SwinIRConfig, train_cfg: TrainConfig) -> None:
+    """Refuse, before anything is allocated, a config whose run cannot fit
+    in physical memory. 32 bytes per parameter hold train's float32
+    weights, gradients and Adam moments, and gradcheck's float64 weights
+    and gradients; one float32 training batch adds its LQ and HQ patches.
+    The keys of the larger share are named, those above their defaults if
+    any are. Skipped where the platform cannot tell its memory size."""
+    try:
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    r = model_cfg.scale if model_cfg.task == "sr" else 1
+    params = 32 * param_count(model_cfg)
+    batch = 4 * train_cfg.batch_size * train_cfg.patch_size ** 2 \
+        * (model_cfg.in_channels + r * r * model_cfg.out_channels)
+    if limit <= 0 or params + batch <= limit:
+        return
+    if params >= batch:
+        cfg, keys = model_cfg, ("channels", "rstb_count", "stl_per_rstb",
+                                "window", "heads", "mlp_ratio")
+    else:
+        cfg, keys = train_cfg, ("batch_size", "patch_size")
+    keys = [k for k in keys if getattr(cfg, k) > CONFIG_DEFAULTS[k]] or keys
+    named = ", ".join(f"{k} = {getattr(cfg, k)}" for k in keys)
+    raise CliError(f"invalid configuration: a run needs about {(params + batch) / 2**30:,.1f} "
+                   f"GiB of memory ({params / 2**30:,.1f} GiB of parameters, "
+                   f"{batch / 2**30:,.1f} GiB for one batch), more than the machine's "
+                   f"{limit / 2**30:,.1f} GiB; reduce {named}", EXIT_USAGE)
+
+
 def build_configs(values: Dict[str, object]) -> tuple[SwinIRConfig, TrainConfig]:
+    """The model and training configs of a config file's values, checked,
+    and refused if a run would not fit in memory (``_check_memory``)."""
     model_kwargs = {k: v for k, v in values.items() if k in CONFIG_KEYS["model"]}
     train_kwargs = {k: v for k, v in values.items() if k in CONFIG_KEYS["training"]}
     try:
-        return SwinIRConfig(**model_kwargs).validate(), TrainConfig(**train_kwargs)
+        model_cfg = SwinIRConfig(**model_kwargs).validate()
+        train_cfg = TrainConfig(**train_kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}", EXIT_USAGE)
+    _check_memory(model_cfg, train_cfg)
+    return model_cfg, train_cfg
 
 
 def _config_help() -> str:

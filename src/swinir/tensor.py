@@ -4,8 +4,8 @@ Tensors wrap contiguous row-major numpy arrays (float32 by default; build
 parameters and inputs as float64 arrays to run the whole graph in the
 64-bit gradient-check mode). Every operation that participates in training
 records a backward closure; ``Tensor.backward()`` on a scalar loss walks
-the recorded graph once in reverse topological order and accumulates
-gradients additively into ``.grad``.
+the recorded graph once in reverse topological order, accumulates
+gradients additively into ``.grad`` and frees the graph as it goes.
 
 The operator set is exactly what the restoration model needs; this is not
 a general autodiff system (no control-flow capture, no higher-order
@@ -40,10 +40,10 @@ _grad_enabled = True
 # fewer calls outweighing the cache misses, while each thread holds a
 # chunk's attention scores (3 MB at C = 60, window 8) instead of a block's
 _BLOCK_BYTES = 8 << 20
-# conv2d's column blocks take 1/_CONV_SHARE of the budget (512 KB by
-# default): a GEMM's float32 sums depend on its width, so conv blocks keep
-# their own, narrower size
-_CONV_SHARE = 16
+# bytes of columns in one conv2d block. A GEMM's float32 sums depend on its
+# width, so conv blocks take their width from the conv's shape and this
+# constant alone, never from _BLOCK_BYTES: a conv's bits depend on its inputs
+_CONV_BYTES = 512 << 10
 
 
 class no_grad:
@@ -250,6 +250,14 @@ class Tensor:
 
         ``self`` must be scalar. Gradients accumulate additively across
         uses and across calls; the caller zeroes them between steps.
+
+        Backward consumes the tape: it pops each node off the walk and
+        unlinks its ``_prev`` and ``_backward``, so a gradient rule is freed
+        once it has run (at once if its node received no gradient), and
+        with it every buffer only that rule read. After the call nothing but
+        the caller's own variables refers to the recorded tensors; those
+        keep ``.data``, leaves keep ``.grad``, and the graph cannot be
+        walked again.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -274,10 +282,10 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                fn = node._backward
-                node._backward = None
+        while topo:
+            node = topo.pop()
+            fn, node._backward, node._prev = node._backward, None, ()
+            if fn is not None and node.grad is not None:
                 fn(node.grad)
                 # interior nodes only carry gradient transiently; leaves keep theirs
                 node.grad = None
@@ -551,12 +559,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- neural-net ops ---------------------------------------------------------
 
-def _blocks(rows: int, row_bytes: int, budget: Optional[int] = None) -> list:
+def _blocks(rows: int, row_bytes: int) -> list:
     """Slices that cover ``range(rows)`` in blocks of whole rows, each
-    block's temporaries within ``budget`` bytes (``_BLOCK_BYTES`` if None;
-    one row at the least)."""
-    budget = _BLOCK_BYTES if budget is None else budget
-    step = max(1, budget // max(1, row_bytes))
+    block's temporaries within ``_BLOCK_BYTES`` (one row at the least)."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
@@ -607,11 +613,13 @@ def _correlate(xp: np.ndarray, w: np.ndarray,
     ``flat`` [N, Cin, Hp*Wp], and output position p of an H' x Wp grid reads
     ``flat[:, :, p + i*Wp + j]`` for tap (i, j), so each tap of a run of
     positions is one contiguous slice. Per image, the (H'-1)*Wp + W'
-    positions run in blocks (``_blocks``): one copy from a strided view of
-    the taps fills a reused [Cin*kh*kw, L] column buffer, one per thread,
-    and one GEMM writes the block's outputs; the Wp - W' junk columns of
-    each grid row are dropped at the end. The (image, block) pairs go over
-    ``parallel_for``; every block's arithmetic is the same on any thread.
+    positions run in blocks of L positions, L fixed by Cin*kh*kw and
+    ``_CONV_BYTES``: one copy from a strided view of the taps fills a reused
+    [Cin*kh*kw, L] column buffer, one per thread, and one GEMM writes the
+    block's outputs; the Wp - W' junk columns of each grid row are dropped
+    at the end. The (image, block) pairs go over ``parallel_for``; every
+    block's arithmetic is the same on any thread and under any row-kernel
+    budget (``_BLOCK_BYTES``).
     """
     n, cin, hp, wp = xp.shape
     cout, _, kh, kw = w.shape
@@ -625,12 +633,11 @@ def _correlate(xp: np.ndarray, w: np.ndarray,
     taps = np.lib.stride_tricks.as_strided(
         flat, shape=(n, cin, kh, kw, span),
         strides=flat.strides[:2] + (wp * es, es, es), writeable=False)
-    # a block holds _BLOCK_BYTES // _CONV_SHARE bytes of columns, 512 KiB
-    # at the default budget; a floor of 1/256 of that per position (256
-    # positions) keeps wide inputs (Cin = 180: 80 positions in a plain
+    # a block holds _CONV_BYTES of columns; a floor of _CONV_BYTES // 2048
+    # positions (256) keeps wide inputs (Cin = 180: 80 positions in a plain
     # 512 KiB) from running many small GEMMs
-    budget = _BLOCK_BYTES // _CONV_SHARE
-    blocks = _blocks(span, min(kk * es, budget // 256), budget)
+    width = max(1, _CONV_BYTES // (kk * es), _CONV_BYTES // 2048)
+    blocks = [slice(p, min(p + width, span)) for p in range(0, span, width)]
     buf_size = kk * blocks[0].stop
     wmat = w.reshape(cout, kk)
     # positions past span (the last grid row's junk tail) are never written

@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,25 +9,52 @@ from swinir import tensor as tensor_mod
 from swinir.tensor import Tensor
 
 
+def package_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    ``swinir``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def usable_cpus(monkeypatch, count):
     """Stub the affinity mask to ``count`` CPUs, so that ``parallel_for``
     runs ``count`` threads, whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def block_budgets(monkeypatch, workers=(1,)):
-    """Run a loop body under two block budgets of the blocked tensor kernels
-    (conv2d, layer_norm, gelu, window_attention), for each of ``workers``
+def block_budgets(monkeypatch, workers=(1,), constant="_BLOCK_BYTES"):
+    """Run a loop body under two block budgets, for each of ``workers``
     usable CPUs (``usable_cpus``): the default budget, in which test inputs
-    fit one block, then one byte, which gives every row (output position,
-    token, element or window) a block of its own and so splits windows
-    mid-image and mid-mask."""
-    default = tensor_mod._BLOCK_BYTES
+    fit one block, then one byte, which gives every row a block of its own.
+    ``constant`` names the budget: ``_BLOCK_BYTES`` of the row kernels
+    (layer_norm, gelu, window_attention), where one byte splits windows
+    mid-image and mid-mask, or ``_CONV_BYTES`` of conv2d's column blocks,
+    where it makes every block one output position wide."""
+    default = getattr(tensor_mod, constant)
     for count in workers:
         usable_cpus(monkeypatch, count)
         for budget in (default, 1):
-            monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(tensor_mod, constant, budget)
             yield budget
+
+
+@contextmanager
+def traced_peak():
+    """Trace Python allocations over the block. Yields ``peak()``, which
+    returns the largest traced size (bytes allocated in the block and
+    still held) since the block began or since the previous call, and
+    starts the next measurement from the current size."""
+    def peak():
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return top
+
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        tracemalloc.stop()
 
 
 def assert_all_equal(runs):

@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
                       dense_attention_oracle, dense_shift_mask, make_attn_params,
-                      tape_gradients, usable_cpus)
+                      tape_gradients, traced_peak, usable_cpus)
 from swinir import attention
 from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
@@ -59,13 +58,9 @@ class TestRelativePositionIndex:
     def test_peak_memory_near_result(self):
         # a checkpoint's window sets m, and the loader builds the index
         # before it checks any record, so no temporary may dwarf the result
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             idx = relative_position_index(30)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * idx.nbytes
+            assert peak() <= 2.1 * idx.nbytes
 
 
 class TestWindowMsa:
@@ -200,14 +195,9 @@ class TestWindowMsa:
         bias = Tensor(rng.normal(size=(heads, mm, mm)).astype(np.float32))
         mask = build_attn_mask(128, 128, 8, 4)
         full_scores = nw * heads * mm * mm * 4
-        tracemalloc.start()
-        try:
-            with no_grad():
-                window_attention(qkv, bias, mask)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < full_scores
+        with traced_peak() as peak, no_grad():
+            window_attention(qkv, bias, mask)
+            assert peak() < full_scores
 
     def test_heads_must_divide_channels(self, rng):
         params = make_attn_params(4, 2, 2, rng=rng)
@@ -527,11 +517,6 @@ class TestStl:
         usable_cpus(monkeypatch, 2)
         stl = init_params(lightweight_sr_config(2, 3), seed=0).rstbs[0].stls[1]
         x = Tensor(np.random.default_rng(0).normal(size=(1, 65536, 60)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            with no_grad():
-                stl_forward(x, stl, WindowGrid(256, 256, 8))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * x.data.nbytes
+        with traced_peak() as peak, no_grad():
+            stl_forward(x, stl, WindowGrid(256, 256, 8))
+            assert peak() < 2 * x.data.nbytes

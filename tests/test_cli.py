@@ -2,12 +2,15 @@ import ast
 import math
 import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import swinir.train as train_mod
+from conftest import package_env
 from swinir import cli
 from swinir.checkpoint import save_checkpoint
 from swinir.cli import main, parse_config_file
@@ -588,6 +591,40 @@ class TestGradcheckInspect:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"total parameters {param_count(cfg)}" in out
+
+
+class TestMemoryPreflight:
+    """A config whose run cannot fit in physical memory exits 2 before
+    anything is allocated. Without the check, channels = 8000000 ended in
+    a MemoryError traceback and the other two ran for minutes; each case
+    runs in its own interpreter, under a timeout, so a hang fails it."""
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("key, value", [("channels", 8000000),
+                                            ("rstb_count", 100000000),
+                                            ("batch_size", 100000000)])
+    def test_refused_before_any_work(self, tmp_path, command, key, value):
+        write_images(tmp_path / "data", n=2)
+        cfg = write_config(tmp_path / "c.cfg", **{key: value})
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg)]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "data"), "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "swinir.cli", *argv],
+                              env=package_env(), capture_output=True, text=True,
+                              timeout=30)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"reduce {key} = {value}" in done.stderr
+        assert done.stdout == "" and not out.exists()
+
+    def test_skipped_where_memory_size_is_unknown(self, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", unknown)
+        model_cfg, _ = cli.build_configs({"channels": 8000000, "heads": 2})
+        assert model_cfg.channels == 8000000
 
 
 class TestUnwritableOut:

@@ -1,10 +1,10 @@
 import ctypes
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from conftest import (assert_all_equal, block_budgets, check_gradients,
-                      max_rel_err, tape_gradients, usable_cpus)
+                      max_rel_err, package_env, tape_gradients, traced_peak,
+                      usable_cpus)
 from swinir import tensor as T
+from swinir.losses import l1_loss
+from swinir.model import forward, init_params, tiny_config
 from swinir.tensor import (Tensor, abs_, concat, conv2d, gather_rows, gelu,
                            layer_norm, linear, matmul, mean, mul, no_grad,
                            parallel_for, pixel_shuffle, pixel_unshuffle, roll,
@@ -95,7 +98,7 @@ class TestConv2d:
             return sum_(conv2d(xx, ww, bb, padding=padding) * Tensor(g))
 
         runs = []
-        for _ in block_budgets(monkeypatch, workers=(1, 2, 3)):
+        for _ in block_budgets(monkeypatch, workers=(1, 2, 3), constant="_CONV_BYTES"):
             out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
             with no_grad():     # the (image, block) pairs go over the pool
                 pooled = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
@@ -113,7 +116,7 @@ class TestConv2d:
         g = rng.normal(size=(2, 16, 12, 12))
         want = tape_gradients(
             lambda xx, ww: sum_(conv2d(xx, ww, padding=1) * Tensor(g)), [x, w])
-        for _ in block_budgets(monkeypatch):
+        for _ in block_budgets(monkeypatch, constant="_CONV_BYTES"):
             xs = Tensor(x.astype(np.float32), requires_grad=True)
             ws = Tensor(w.astype(np.float32), requires_grad=True)
             sum_(conv2d(xs, ws, padding=1) * Tensor(g.astype(np.float32))).backward()
@@ -135,7 +138,7 @@ class TestConv2d:
         assert w.grad is not None and (x.grad is not None) == needs_dx
 
     def test_gradients_one_position_per_block(self, rng, monkeypatch):
-        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(T, "_CONV_BYTES", 1)
         x = rng.uniform(size=(2, 2, 4, 5))
         w = rng.normal(size=(3, 2, 3, 3)) * 0.5
         b = rng.normal(size=(3,)) * 0.1
@@ -144,34 +147,34 @@ class TestConv2d:
 
     def test_wide_input_blocks_hold_256_positions(self, rng, monkeypatch):
         # Cin = 180 takes 6,480 bytes of columns per position, 80 positions
-        # in a plain 512 KiB block; the floor gives 256, and the one-byte
-        # budget still gives every position a block of its own
+        # in a plain 512 KiB block; the floor gives 256, and a one-byte conv
+        # budget still gives every position a block of its own. The row
+        # kernels' budget leaves the widths, and so the sums, alone
         seen = []
-        real = T._blocks
-        monkeypatch.setattr(T, "_blocks", lambda *a: seen.append(real(*a)) or seen[-1])
+        real = T.parallel_for
+        monkeypatch.setattr(T, "parallel_for",
+                            lambda fn, items: seen.append(items) or real(fn, items))
         x = Tensor(rng.normal(size=(1, 180, 20, 20)).astype(np.float32))
         w = Tensor(rng.normal(size=(2, 180, 3, 3)).astype(np.float32))
         span = 19 * 22 + 20
         lengths = []
-        for _ in block_budgets(monkeypatch):
+        for conv_bytes, row_bytes in itertools.product((T._CONV_BYTES, 1),
+                                                       (T._BLOCK_BYTES, 1)):
+            monkeypatch.setattr(T, "_CONV_BYTES", conv_bytes)
+            monkeypatch.setattr(T, "_BLOCK_BYTES", row_bytes)
             seen.clear()
             conv2d(x, w, padding=1)
-            lengths.append(sorted({pos.stop - pos.start for pos in seen[0]}))
-        assert lengths == [[span - 256, 256], [1]]
+            lengths.append(sorted({pos.stop - pos.start for _, pos in seen[0]}))
+        assert lengths == [[span - 256, 256]] * 2 + [[1]] * 2
 
     def test_inference_memory_below_column_matrix(self, rng):
         x = Tensor(rng.normal(size=(1, 60, 128, 128)).astype(np.float32))
         w = Tensor(rng.normal(size=(60, 60, 3, 3)).astype(np.float32))
         b = Tensor(np.zeros(60, dtype=np.float32))
         whole_columns = 128 * 128 * 60 * 9 * 4
-        tracemalloc.start()
-        try:
-            with no_grad():
-                conv2d(x, w, b, padding=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < whole_columns
+        with traced_peak() as peak, no_grad():
+            conv2d(x, w, b, padding=1)
+            assert peak() < whole_columns
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channels"):
@@ -276,7 +279,7 @@ class TestParallelMap:
         monkeypatch.setattr(threading, "Thread", refuse)
         x = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
-        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)       # many (image, block) tasks
+        monkeypatch.setattr(T, "_CONV_BYTES", 1)        # many (image, block) tasks
         usable_cpus(monkeypatch, 1)
         with no_grad():
             conv2d(x, w, padding=1)
@@ -460,11 +463,8 @@ class TestErf:
         # a fresh interpreter: a float32 restore and a short training run
         # leave scipy.special unloaded; two threads then reach the float64
         # GELU's first erf at once, and both get scipy's values bit for bit
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                               "-c", FLOAT32_THEN_FLOAT64], env=env,
+                               "-c", FLOAT32_THEN_FLOAT64], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["float32-clean", "float64-exact"]
@@ -617,6 +617,47 @@ class TestBackward:
         with no_grad():
             y = sum_(x * 2.0)
         assert not y.requires_grad and y._backward is None
+
+    def test_backward_consumes_the_tape(self, rng):
+        params = init_params(tiny_config(task="sr", scale=2, stl_per_rstb=2), seed=0)
+        pred = forward(params, Tensor(rng.uniform(size=(1, 1, 8, 8)).astype(np.float32)))
+        loss = l1_loss(pred, Tensor(rng.uniform(size=(1, 1, 16, 16)).astype(np.float32)))
+        reachable, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reachable:
+                reachable[id(node)] = node
+                stack.extend(node._prev)
+        assert len(reachable) > 100
+        loss.backward()
+        # no node links to another or holds a closure, so each interior
+        # buffer went with the last rule that read it
+        for node in reachable.values():
+            assert node._prev == () and node._backward is None
+        for name, t in params.named():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+        assert pred.data.shape == (1, 1, 16, 16)
+        with pytest.raises(RuntimeError, match="re-record"):
+            loss.backward()
+
+    def test_two_step_loop_holds_one_tape(self, rng):
+        # as train() runs it: pred and loss stay bound until the next
+        # forward returns. A tape that outlived its backward would sit under
+        # the second forward (1.7x the first forward's peak)
+        params = init_params(tiny_config(task="sr", scale=2, channels=16,
+                                         stl_per_rstb=2), seed=0)
+        lq = rng.uniform(size=(1, 1, 32, 32)).astype(np.float32)
+        hq = Tensor(rng.uniform(size=(1, 1, 64, 64)).astype(np.float32))
+        peaks = []
+        with traced_peak() as peak:
+            for _ in range(2):
+                peak()
+                pred = forward(params, Tensor(lq))
+                peaks.append(peak())
+                loss = l1_loss(pred, hq)
+                params.zero_grad()
+                loss.backward()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 # -- supporting ops -----------------------------------------------------------

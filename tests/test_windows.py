@@ -1,11 +1,10 @@
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_shift_mask
+from conftest import dense_shift_mask, traced_peak
 from swinir.tensor import Tensor, window_attention
 from swinir.windows import (WindowGrid, build_attn_mask, crop_to,
                             cyclic_shift, pad_to_multiple, reorder, row_gather,
@@ -169,13 +168,9 @@ class TestAttnMask:
     def test_memory_does_not_grow_with_image(self):
         # 4096 windows at 512^2: the mask is one slot per window plus
         # three 64x64 blocks, not a [4096, 64, 64] array (64 MB)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             build_attn_mask.__wrapped__(512, 512, 8, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+            assert peak() < 1 << 20
 
     def test_masked_pairs_get_zero_weight(self, rng):
         # V = I per window makes the output the attention weights
