@@ -31,7 +31,9 @@ AttnWeights = Tuple[Tensor, Tensor, Tensor]
 # a layer's products with its norms folded in: (AttnWeights, fc1 (W, b))
 LayerWeights = Tuple[AttnWeights, Tuple[Tensor, Tensor]]
 
-# rows per chunk of an untaped layer, rounded down to whole windows
+# rows per chunk of an untaped layer, rounded down to whole windows: the
+# one bound on a thread's working set, since LayerNorm, GELU and the
+# attention core each run over a whole chunk at once
 _CHUNK_ROWS = 2048
 
 
@@ -171,12 +173,17 @@ def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
     single windows, so inside ``no_grad`` the layer runs as chunks of
     ``_CHUNK_ROWS // m^2`` whole windows over ``tensor.parallel_for``, each
     chunk with its own slice of the mask and temporaries that the
-    allocator reuses. A chunk of up to ``_CHUNK_ROWS`` rows fits one block
-    of each of LayerNorm, GELU and the attention core (two at most), so a
-    chunk makes a few dozen numpy calls and hands the GIL over about as
-    often. The chunks depend only on the grid and the batch, never on the
-    thread count or the kernels' block budget, so the output does not
-    either. With a tape the layer is one chunk, with the same ops."""
+    allocator reuses. LayerNorm, GELU and the attention core each make
+    their passes once over a whole chunk, so a chunk makes a few dozen
+    numpy calls and hands the GIL over about as often, and the chunk is
+    the only bound on a thread's working set: at most ``_CHUNK_ROWS``
+    rows, whose attention scores take heads * m^2 floats each (3 MB at 6
+    heads and window 8). Configs with heads * m^2 above 1,024 (window 14
+    or more at 6 heads; none of the paper's) hold more than 8 MB of
+    scores per thread, 48 MB at 6 heads and the largest window, 32. The
+    chunks depend only on the grid and the batch, never on the thread
+    count, so the output does not either. With a tape the layer is one
+    chunk, with the same ops."""
     s = params.shift
     mask = build_attn_mask(grid.height, grid.width, grid.window, s) if s else None
     weights = layer_weights(params)

@@ -235,8 +235,12 @@ def _check_channels(cfg: SwinIRConfig, channels: int, path: str) -> None:
 
 
 def _restore(params, img: ImageBuffer, path: str) -> ImageBuffer:
+    """The restored image; a forward that overflows is a numeric error."""
     _check_channels(params.config, img.channels, path)
-    return restore_image(params, img)
+    try:
+        return restore_image(params, img)
+    except FloatingPointError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_NUMERIC)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -307,7 +311,7 @@ def cmd_infer(args) -> int:
         _check_channels(params.config, channels, path)
 
     for path, dest in _inputs_and_out(args, check):
-        save_image(restore_image(params, _read(load_image, path)), dest)
+        save_image(_restore(params, _read(load_image, path), path), dest)
     return EXIT_OK
 
 

@@ -108,23 +108,16 @@ def bicubic_resize(img: ImageBuffer, out_h: int, out_w: int) -> ImageBuffer:
 
 # -- gaussian noise -------------------------------------------------------
 
-def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int,
-                       clip: bool = True) -> ImageBuffer:
-    """Add N(0, sigma^2) per pixel on the 0..255 scale.
-
-    The result is clipped to the valid range, for stored low-quality images
-    and training pairs alike; clip=False keeps the unclipped floats, whose
-    noise statistics stay exactly Gaussian.
-    """
+def add_gaussian_noise(img: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
+    """Add N(0, sigma^2) per pixel on the 0..255 scale, clipped to the
+    valid range, for stored low-quality images and training pairs alike."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return ImageBuffer(img.data.copy(), color=img.color)
     rng = SplitMix64(seed)
     noise = rng.normal(img.data.size).reshape(img.data.shape)
-    out = img.data.astype(np.float64) * 255.0 + sigma * noise
-    if clip:
-        out = np.clip(out, 0.0, 255.0)
+    out = np.clip(img.data.astype(np.float64) * 255.0 + sigma * noise, 0.0, 255.0)
     return ImageBuffer((out / 255.0).astype(np.float32), color=img.color)
 
 

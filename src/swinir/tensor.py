@@ -30,19 +30,12 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 
-# working-set budget of one block of the row kernels (layer_norm, gelu,
-# window_attention). A transformer layer's chunk of up to 2,048 rows
-# (attention._CHUNK_ROWS) fits one block of each, two for the GELU of a
-# C = 180 chunk, so a chunk makes few numpy calls, each of which hands the
-# GIL over; whole-image arrays such as the staged head's GELU input still
-# run in several blocks. 8 MB is above a core's L2 but far below a shared
-# L3; on a 2-CPU Xeon, pooled restores ran faster than with 512 KB blocks,
-# fewer calls outweighing the cache misses, while each thread holds a
-# chunk's attention scores (3 MB at C = 60, window 8) instead of a block's
-_BLOCK_BYTES = 8 << 20
 # bytes of columns in one conv2d block. A GEMM's float32 sums depend on its
 # width, so conv blocks take their width from the conv's shape and this
-# constant alone, never from _BLOCK_BYTES: a conv's bits depend on its inputs
+# constant alone: a conv's bits depend on its inputs only. The row kernels
+# (layer_norm, gelu, window_attention) have no budget of their own; they
+# make each pass once over the array they are given, and a transformer
+# layer bounds that array by its chunk of whole windows (attention._CHUNK_ROWS)
 _CONV_BYTES = 512 << 10
 
 
@@ -559,13 +552,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- neural-net ops ---------------------------------------------------------
 
-def _blocks(rows: int, row_bytes: int) -> list:
-    """Slices that cover ``range(rows)`` in blocks of whole rows, each
-    block's temporaries within ``_BLOCK_BYTES`` (one row at the least)."""
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
-
-
 _BIAS_TILE = 64
 
 
@@ -618,8 +604,9 @@ def _correlate(xp: np.ndarray, w: np.ndarray,
     [Cin*kh*kw, L] column buffer, one per thread, and one GEMM writes the
     block's outputs; the Wp - W' junk columns of each grid row are dropped
     at the end. The (image, block) pairs go over ``parallel_for``; every
-    block's arithmetic is the same on any thread and under any row-kernel
-    budget (``_BLOCK_BYTES``).
+    block's arithmetic is the same on any thread. This is the one kernel
+    with blocks of its own: a layer chunk bounds the row kernels, but a
+    conv takes the whole image.
     """
     n, cin, hp, wp = xp.shape
     cout, _, kh, kw = w.shape
@@ -719,32 +706,27 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
     (``attention.fold_norm``), so the kernel makes no pass for them; a
     given affine is applied with the ``mul`` and ``add`` ops.
 
-    Runs over blocks of rows (``_blocks``) of 2 C floats each, every pass
-    over a block while it is in cache; a layer chunk of 2,048 rows is one
-    block up to C = 512 (float32). The row mean and the row sum of squares
-    are einsum contractions, which need no squared temporary and beat
-    numpy's slow reductions over short rows. They are not BLAS products
-    (x @ ones): BLAS was faster still, but its row sums changed with the
-    number of rows in a block, so the output would depend on the block
-    budget. The normalized rows are the output, and backward reads them."""
+    Each pass runs once over all the rows given; a transformer layer
+    passes one chunk of at most 2,048 rows (``attention._CHUNK_ROWS``).
+    The row mean and the row sum of squares are einsum contractions, which
+    need no squared temporary and beat numpy's slow reductions over short
+    rows. They are not BLAS products (x @ ones): BLAS was faster still, but
+    its row sums changed with the number of rows, so a row's output would
+    depend on how the layer is chunked. The normalized rows are the output,
+    and backward reads them."""
     x = _wrap(x)
     c = x.shape[-1]
     if c == 0:
         raise ValueError("layer_norm: empty normalization axis")
     x2 = x.data.reshape(-1, c)
-    out = np.empty_like(x2)
-    inv = np.empty((len(x2), 1), dtype=x2.dtype)
-    weights = np.full(c, 1.0 / c, dtype=x2.dtype)
-    for rows in _blocks(len(x2), 2 * c * x2.itemsize):
-        xb, hb, ib = x2[rows], out[rows], inv[rows]
-        np.subtract(xb, np.einsum("ij,j->i", xb, weights)[:, None], out=hb)
-        np.einsum("ij,ij->i", hb, hb, out=ib[:, 0])
-        ib *= 1.0 / c
-        ib += eps
-        np.sqrt(ib, out=ib)
-        np.divide(1.0, ib, out=ib)
-        hb *= ib
-    xhat = out.reshape(x.shape)
+    h = x2 - np.einsum("ij,j->i", x2, np.full(c, 1.0 / c, dtype=x2.dtype))[:, None]
+    inv = np.einsum("ij,ij->i", h, h)[:, None]
+    inv *= 1.0 / c
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    h *= inv
+    xhat = h.reshape(x.shape)
     inv = inv.reshape(*x.shape[:-1], 1)
 
     def backward(g):
@@ -831,26 +813,21 @@ def _gelu_grad(xd: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact error-function GELU, x * Phi(x) = x (1 + erf(x / sqrt 2)) / 2,
-    over blocks of elements (``_blocks``) of 5 floats each: one block for
-    a float32 layer chunk of 2,048 rows of up to 204 hidden channels, two
-    up to 409; a whole-image array runs in several.
+    each pass once over the whole array given: in a transformer layer one
+    chunk's hidden rows, in the staged head a whole image.
 
     float32 takes erf from ``_erf_over_sqrt2``'s tanh form, so that float32
     GELU and its derivative stay within 1e-6 of their float64 values on
     [-10, 10]. float64 keeps scipy's erf, so gradient checks keep float64
     accuracy."""
     x = _wrap(x)
-    flat = x.data.reshape(-1)
-    out = np.empty_like(flat)
-    for part in _blocks(flat.size, 5 * flat.itemsize):
-        xb, ob = flat[part], out[part]
-        _normal_cdf(xb, ob)
-        ob *= xb
+    out = _normal_cdf(x.data, np.empty_like(x.data))
+    out *= x.data
 
     def backward(g):
         x._accumulate(g * _gelu_grad(x.data))
 
-    return _make(out.reshape(x.shape), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -893,14 +870,15 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     windows, whose slots repeat over the batch. Returns softmax(Q K^T + B +
     mask) V with heads concatenated, [..., C].
 
-    Windows run in blocks (``_blocks``) sized so that a block's scores,
-    [windows, heads, key, query], stay in cache from Q K^T to the output:
-    a layer chunk of 2,048 rows holds heads * m^2 scores per row, one
-    block up to 1,024 of them (float32; 6 heads at window 8 take 384).
-    Bias and the mask's -inf entries (added window by window, only on the
-    block's boundary windows) update one buffer in place, which exp turns
-    into E. E is never normalized: its column sums come from one product,
-    ones[1, key] @ E, and the output is scaled by their reciprocals r.
+    Each step runs once over all the windows given, taped or not. The
+    scores, [windows, heads, key, query], take heads * m^2 floats per row;
+    a transformer layer passes one chunk of at most 2,048 rows
+    (``attention._CHUNK_ROWS``), 3 MB of float32 scores at 6 heads and
+    window 8, and that chunk is the only bound on them. Bias and the
+    mask's -inf entries (added window by window, only on boundary windows)
+    update the score buffer in place, which exp turns into E. E is never
+    normalized: its column sums come from one product, ones[1, key] @ E,
+    and the output is scaled by their reciprocals r.
 
     Softmax does not change when a column of logits is shifted
     (Milakov & Gimelshein, arXiv 1805.02867), so E needs no column max
@@ -910,18 +888,18 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     keys (axis -2, which numpy vectorizes across the contiguous query
     axis). An untrained lightweight model stays far below the bound, an
     untrained C = 180 model straddles it, and trained weights grow past
-    it; a call that falls back pays two reductions over ``qkv``. The bound
-    is per call, not per block, so the block size never changes the
-    arithmetic. An untaped layer calls the core once per chunk of whole
-    windows (``attention.stl_forward``), so there the bound holds per
-    chunk; the chunks are fixed by the grid and the batch, so the path
-    each takes does not depend on the thread count or the block budget.
+    it; a call that falls back pays two reductions over ``qkv``. An
+    untaped layer calls the core once per chunk of whole windows
+    (``attention.stl_forward``), so there the bound holds per chunk; the
+    chunks are fixed by the grid and the batch, so the path each takes
+    does not depend on the thread count. Every other step acts on each
+    window alone, so a window's output bits do not depend on which other
+    windows share the call.
 
-    The output product runs transposed: V^T E into one reused [windows,
-    heads, d, query] buffer, scaled by r along its contiguous query axis,
-    then copied into the [query, d] head slices of the output. Without a
-    tape the blocks share one block-sized score buffer; the taped path
-    keeps all of E and r.
+    The output product runs transposed: V^T E into one [windows, heads, d,
+    query] buffer, scaled by r along its contiguous query axis, then
+    copied into the [query, d] head slices of the output. The tape keeps E
+    and r.
 
     Backward, with A = E r and gs = r g, the gradient g scaled per query:
     dV = E gs, and the softmax rule dS = A (dA - D) with dA = V g^T and
@@ -945,33 +923,22 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     def heads_view(buf):
         return buf.reshape(nw, mm, heads, d).transpose(0, 2, 1, 3)
 
+    e = np.matmul(k, q.swapaxes(-1, -2))
+    e += bias.data
+    if mask is not None:
+        slots = mask.slots[np.arange(nw) % len(mask.slots)]
+        for i in np.flatnonzero(slots >= 0):
+            e[i] += mask.blocks[slots[i]]
+    if not _skips_max(qkv.data, bias.data, d):
+        e -= e.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    r = np.matmul(np.ones((1, mm), dtype=dtype), e)
+    np.divide(1.0, r, out=r)
+    vte = np.matmul(v.swapaxes(-1, -2), e)
+    vte *= r
     out = np.empty((nw, mm, c), dtype=dtype)
     out_h = heads_view(out)
-    taped = _taped((qkv, bias))
-    blocks = _blocks(nw, heads * mm * mm * dtype.itemsize)
-    e = np.empty((nw if taped else blocks[0].stop, heads, mm, mm), dtype=dtype)
-    r = np.empty((nw, heads, 1, mm), dtype=dtype)
-    vte = np.empty((blocks[0].stop, heads, d, mm), dtype=dtype)
-    ones = np.ones((1, mm), dtype=dtype)
-    skip_max = _skips_max(qkv.data, bias.data, d)
-    for wins in blocks:
-        s = e[wins] if taped else e[:wins.stop - wins.start]
-        np.matmul(k[wins], q[wins].swapaxes(-1, -2), out=s)
-        s += bias.data
-        if mask is not None:
-            slots = mask.slots[np.arange(wins.start, wins.stop) % len(mask.slots)]
-            for i in np.flatnonzero(slots >= 0):
-                s[i] += mask.blocks[slots[i]]
-        if not skip_max:
-            s -= s.max(axis=-2, keepdims=True)
-        np.exp(s, out=s)
-        rb = r[wins]
-        np.matmul(ones, s, out=rb)
-        np.divide(1.0, rb, out=rb)
-        ob = vte[:wins.stop - wins.start]
-        np.matmul(v[wins].swapaxes(-1, -2), s, out=ob)
-        ob *= rb
-        out_h[wins] = ob.swapaxes(-1, -2)
+    out_h[...] = vte.swapaxes(-1, -2)
 
     def backward(g):
         gs = heads_view(g) * r.swapaxes(-1, -2)

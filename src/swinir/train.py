@@ -157,10 +157,14 @@ def make_validation_pairs(hq_images: Sequence[ImageBuffer],
 
 
 def restore_image(params: ModelParams, lq: ImageBuffer) -> ImageBuffer:
-    """Run the network on one image, clamped back to an image buffer."""
+    """Run the network on one image, clamped back to an image buffer.
+    Raises FloatingPointError if the output holds NaN or Inf, which the
+    clamp would otherwise pass off as black or white pixels."""
     x = Tensor(np.moveaxis(lq.data, 2, 0)[None])
     with no_grad():
         y = forward(params, x)
+    if not np.isfinite(y.data).all():
+        raise FloatingPointError("the restored image holds NaN or Inf")
     arr = np.clip(np.moveaxis(y.data[0], 0, 2), 0.0, 1.0)
     return ImageBuffer(arr.astype(np.float32), color=lq.color)
 
@@ -208,8 +212,9 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
 
     Writes ``last.ckpt`` (with resume state, what ``resume`` takes) and
     ``best.ckpt`` and appends to ``metrics.log`` under ``out_dir`` when
-    given. On divergence the most recent checkpoints are left in place
-    and the result is flagged.
+    given. On divergence (a non-finite loss, gradient or validation
+    restore) the most recent checkpoints are left in place and the result
+    is flagged.
     """
     model_cfg.validate()
     loss_kind = loss_for_task(model_cfg.task)
@@ -246,13 +251,21 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
         if best:
             save_checkpoint(params, os.path.join(out_dir, "best.ckpt"))
 
-    def validate(step: int, loss_val: float, lr: float) -> None:
-        val = validation_psnr(params, val_pairs, border) if val_pairs else float("nan")
+    def validate(step: int, loss_val: float, lr: float) -> bool:
+        """Score, log and save; False, saving nothing, if a restore
+        diverged."""
+        try:
+            val = validation_psnr(params, val_pairs, border) if val_pairs else float("nan")
+        except FloatingPointError as exc:
+            result.diverged = True
+            emit(f"step {step} validation: {exc} ABORT")
+            return False
         best = val > result.best_psnr
         if best:
             result.best_psnr = state.best_psnr = val
         emit(_metrics_line(step, loss_val, val, lr))
         save_all(best)
+        return True
 
     if train_cfg.iterations == 0:
         save_all(best=False)
@@ -278,7 +291,8 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
             return result
         result.losses.append(last_loss)
         if (step + 1) % train_cfg.val_period == 0 or step + 1 == train_cfg.iterations:
-            validate(step + 1, last_loss, lr)
+            if not validate(step + 1, last_loss, lr):
+                return result
 
     return result
 

@@ -23,19 +23,16 @@ def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def block_budgets(monkeypatch, workers=(1,), constant="_BLOCK_BYTES"):
-    """Run a loop body under two block budgets, for each of ``workers``
-    usable CPUs (``usable_cpus``): the default budget, in which test inputs
-    fit one block, then one byte, which gives every row a block of its own.
-    ``constant`` names the budget: ``_BLOCK_BYTES`` of the row kernels
-    (layer_norm, gelu, window_attention), where one byte splits windows
-    mid-image and mid-mask, or ``_CONV_BYTES`` of conv2d's column blocks,
-    where it makes every block one output position wide."""
-    default = getattr(tensor_mod, constant)
+def block_budgets(monkeypatch, workers=(1,)):
+    """Run a loop body under two budgets of conv2d's column blocks
+    (``_CONV_BYTES``), for each of ``workers`` usable CPUs
+    (``usable_cpus``): the default budget, then one byte, which makes every
+    block one output position wide."""
+    default = tensor_mod._CONV_BYTES
     for count in workers:
         usable_cpus(monkeypatch, count)
         for budget in (default, 1):
-            monkeypatch.setattr(tensor_mod, constant, budget)
+            monkeypatch.setattr(tensor_mod, "_CONV_BYTES", budget)
             yield budget
 
 

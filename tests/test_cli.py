@@ -593,6 +593,35 @@ class TestGradcheckInspect:
         assert f"total parameters {param_count(cfg)}" in out
 
 
+class TestNonFiniteRestore:
+    """A forward that overflows exits 4, names the input and writes no
+    output for it; the [0, 1] clamp would otherwise turn inf into white
+    and NaN into black. The overflow raises numpy RuntimeWarnings, which
+    the test settings make errors, so each call runs in a fresh
+    interpreter."""
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_exit_4_and_no_output(self, tmp_path, command):
+        params = init_params(tiny_config(task="denoise"), seed=0)
+        dict(params.named())["shallow.w"].data[...] = 3e38
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(params, str(ckpt))
+        [src] = write_images(tmp_path / "in", n=1, size=16)
+        out = tmp_path / "out.pgm"
+        argv = (["infer", "--in", str(src), "--out", str(out)] if command == "infer"
+                else ["eval", "--lq-dir", str(tmp_path / "in"),
+                      "--hq-dir", str(tmp_path / "in")])
+        done = subprocess.run([sys.executable, "-m", "swinir.cli", *argv,
+                               "--ckpt", str(ckpt)],
+                              env=package_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 4, done.stderr
+        assert f"error: {src}: the restored image holds NaN or Inf" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+        assert "mean" not in done.stdout
+
+
 class TestMemoryPreflight:
     """A config whose run cannot fit in physical memory exits 2 before
     anything is allocated. Without the check, channels = 8000000 ended in

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_all_equal, block_budgets, check_gradients, traced_peak,
-                      usable_cpus)
+from conftest import assert_all_equal, check_gradients, traced_peak, usable_cpus
 from swinir import attention, checkpoint, model
 from swinir import tensor as T
 from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
@@ -318,7 +317,7 @@ class TestParallelForward:
     """Untaped, every transformer layer runs as fixed chunks of whole
     windows over the pool, and BLAS runs at one thread."""
 
-    def test_bit_identical_over_workers_and_budgets(self, rng, monkeypatch):
+    def test_bit_identical_over_workers(self, rng, monkeypatch):
         # two 50^2 images padded to 52^2 at window 4: 338 windows per layer,
         # chunks of 128, so one chunk straddles the two images' masks
         cfg = tiny_config(task="denoise", channels=4, heads=2, stl_per_rstb=2)
@@ -331,15 +330,15 @@ class TestParallelForward:
         monkeypatch.setattr(attention, "_layer",
                             lambda t, *a: chunks.append(t.shape[0]) or real(t, *a))
         runs = []
-        for _ in block_budgets(monkeypatch, workers=(1, 2, 3)):
+        for workers in (1, 2, 3):
+            usable_cpus(monkeypatch, workers)
             chunks.clear()
             with no_grad():
                 runs.append([forward(params, Tensor(x)).data])
-            # the same chunks of whole windows, whatever the budget and CPUs
+            # the same chunks of whole windows, whatever the CPUs
             assert sorted(chunks) == sorted([2048, 2048, 1312] * 2)
-        # the row kernels' sums do not depend on how rows are blocked, and
-        # conv blocks take their width from the conv's shape alone, so the
-        # whole forward is the same bits under every budget
+        # the chunks and conv blocks are fixed by the shapes alone, so the
+        # whole forward is the same bits on any number of threads
         assert_all_equal(runs)
         # one chunk with a tape: the same layer, up to rounding
         np.testing.assert_allclose(forward(params, Tensor(x)).data, runs[0][0],

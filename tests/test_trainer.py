@@ -270,6 +270,37 @@ class TestTrainLoop:
         assert any("ABORT" in line for line in result.metrics)
 
 
+    def test_non_finite_validation_aborts_and_keeps_checkpoint(self, tmp_path,
+                                                               monkeypatch):
+        # the untaped forward (validation restores only) returns NaN from
+        # the second validation on; the clamp would have made it black
+        cfg = toy_sr_config()
+        tcfg = TrainConfig(iterations=8, val_period=2, batch_size=2,
+                           patch_size=8, seed=3)
+        ds = toy_dataset(4)
+        val = make_validation_pairs(ds.hq_images[:1], ds.spec)
+        real_forward = train_mod.forward
+        restores = []
+
+        def poisoned(params, x):
+            out = real_forward(params, x)
+            if out.requires_grad:
+                return out
+            restores.append(x)
+            return Tensor(np.full_like(out.data, np.nan)) if len(restores) >= 2 else out
+
+        monkeypatch.setattr(train_mod, "forward", poisoned)
+        result = train(cfg, tcfg, ds, val, out_dir=str(tmp_path))
+        assert result.diverged
+        assert result.metrics[-1] == "step 4 validation: the restored image holds NaN or Inf ABORT"
+        assert len(result.losses) == 4 and len(restores) == 2
+        # last.ckpt and best.ckpt stay as the step-2 validation wrote them
+        assert load_train_state(str(tmp_path / "last.ckpt"))[1].step == 2
+        assert (tmp_path / "best.ckpt").exists()
+        log = (tmp_path / "metrics.log").read_text().splitlines()
+        assert log == result.metrics
+
+
 class TestTrainStatePersistence:
     def test_roundtrip(self, tmp_path):
         # a fresh state (best PSNR -inf) and one part way through a run
