@@ -57,7 +57,11 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def u64(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit draws as a uint64 array."""
+        """Next n raw 64-bit draws as a uint64 array. One draw takes the
+        integer finalizer: the same value, without numpy's per-call cost."""
+        if n == 1:
+            self.state = (self.state + GAMMA) & MASK64
+            return np.array([mix64(self.state)], dtype=np.uint64)
         ks = np.arange(1, n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             counters = np.uint64(self.state) + ks * np.uint64(GAMMA)

@@ -3,7 +3,7 @@
 Tensors wrap contiguous row-major numpy arrays (float32 by default; build
 parameters and inputs as float64 arrays to run the whole graph in the
 64-bit gradient-check mode). Every operation that participates in training
-records a backward closure; ``Tensor.backward()`` on a scalar loss walks
+records a tape node; ``Tensor.backward()`` on a scalar loss walks
 the recorded graph once in reverse topological order, accumulates
 gradients additively into ``.grad`` and frees the graph as it goes.
 
@@ -11,18 +11,26 @@ The operator set is exactly what the restoration model needs; this is not
 a general autodiff system (no control-flow capture, no higher-order
 gradients).
 
+The tape is a graph of ``_Node``s apart from the tensors: a taped output
+links to its node, and a node to its inputs' nodes (a leaf tensor that
+requires grad is its own node) and to a rule that captures only the
+arrays its gradient formula reads. So the tape keeps no activation for
+its own sake: an array that no rule reads goes with the caller's last
+reference to its tensor.
+
 Without a tape, work that splits into independent parts runs over the
 usable CPUs (``parallel_for``); the tape itself is recorded by one thread.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,17 +106,25 @@ def single_thread_blas():
 
 _pool = None                        # (executor, its thread count), made on first use
 _in_task = threading.local()
+_heap_shared = False
 
 
 def _share_heap() -> None:
-    """Set glibc's malloc up for the pool, before its first thread starts:
-    one arena, so memory any thread frees serves every thread, and fixed
-    mmap and trim thresholds of 32 and 64 MB, so the temporaries of each
-    chunk, layer and convolution come back from the free lists rather
-    than being unmapped and faulted in again. Without it a helper thread's
-    own arena keeps a chunk's working set that the caller cannot reuse,
-    and a 64x64 car restore faults in 90k pages. No-op where the C
-    library cannot be opened or has no mallopt."""
+    """Set glibc's malloc up, once per process: before the pool's first
+    thread starts, and before the first taped op. One arena, so memory
+    any thread frees serves every thread, and fixed mmap and trim
+    thresholds of 32 and 64 MB, so the temporaries of each chunk, layer
+    and convolution come back from the free lists rather than being
+    unmapped and faulted in again. Without it a helper thread's own arena
+    keeps a chunk's working set that the caller cannot reuse, and a 64x64
+    car restore faults in 90k pages; a tape frees each array once no rule
+    reads it, and a taped 2 x 32x32 lightweight step faults in 9k. No-op
+    where the C library cannot be opened or has no mallopt, and after the
+    first call."""
+    global _heap_shared
+    if _heap_shared:
+        return
+    _heap_shared = True
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):    # TypeError: no CDLL(None)
@@ -122,8 +138,7 @@ def _helpers(count: int) -> ThreadPoolExecutor:
     """An executor of at least ``count`` threads; its threads start as
     work arrives and then wait for more."""
     global _pool
-    if _pool is None:
-        _share_heap()
+    _share_heap()
     if _pool is None or _pool[1] < count:
         if _pool is not None:
             _pool[0].shutdown(wait=False)
@@ -140,8 +155,10 @@ def parallel_for(fn: Callable, items: Sequence) -> None:
     calling thread while the tape records (it is not thread-safe), when
     one CPU is usable, when there is one item, or when called from inside
     a task: it never nests, and never runs more threads than there are
-    usable CPUs. After every started item has ended, the exception of the
-    first failed item, if any, is raised unchanged."""
+    usable CPUs. Pool threads run in a copy of the caller's context, so
+    its ``np.errstate`` holds in every item. After every started item has
+    ended, the exception of the first failed item, if any, is raised
+    unchanged."""
     # the CPUs of the affinity mask, or all of them where the platform has
     # none; one where BLAS cannot be held at one thread, as its own threads
     # would compete with the pool's
@@ -173,7 +190,8 @@ def parallel_for(fn: Callable, items: Sequence) -> None:
             _in_task.active = False
 
     pool = _helpers(workers - 1)
-    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    helpers = [pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(workers - 1)]
     drain()
     for helper in helpers:
         helper.result()
@@ -181,13 +199,33 @@ def parallel_for(fn: Callable, items: Sequence) -> None:
         raise min(failed, key=lambda f: f[0])[1]
 
 
+class _Node:
+    """One taped op: its inputs' nodes (None for an input that takes no
+    gradient), the gradient reaching its output so far, and ``rule``,
+    which maps that gradient to one gradient per input (None where none
+    flows)."""
+
+    __slots__ = ("inputs", "rule", "grad", "dtype")
+
+    def __init__(self, inputs, rule, dtype):
+        self.inputs, self.rule, self.grad, self.dtype = inputs, rule, None, dtype
+
+
+def _accumulate(node, g: np.ndarray) -> None:
+    """Add g to the gradient of a node or of a leaf tensor."""
+    if node.grad is None:
+        # copy: a rule may hand the same buffer to several inputs
+        node.grad = np.array(g, dtype=node.dtype)
+    else:
+        node.grad += g
+
+
 class Tensor:
-    """N-d float array plus optional gradient slot and tape linkage."""
+    """N-d float array plus optional gradient slot and tape node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_backward", "_backward_ran")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _prev: Iterable["Tensor"] = ()):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
@@ -196,9 +234,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.grad: Optional[np.ndarray] = None
-        self._prev: Tuple[Tensor, ...] = tuple(_prev)
-        self._backward = None
-        self._backward_ran = False
+        self._node: Optional[_Node] = None
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -227,61 +263,64 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            # copy: closures may hand the same buffer to several parents
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
-
     # -- backward -------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``.grad`` of every reachable tensor with d(self)/d(tensor).
+        """Populate ``.grad`` of every reachable leaf with d(self)/d(leaf).
 
         ``self`` must be scalar. Gradients accumulate additively across
         uses and across calls; the caller zeroes them between steps.
 
+        The tape keeps no tensor: a node keeps its inputs' nodes and a rule
+        holding only the arrays its formula reads (the input and weight of
+        ``linear``, the padded input of ``conv2d``, the normalized rows and
+        1/sigma of ``layer_norm``, the input of ``gelu``, qkv, E, r and the
+        output of ``window_attention``, and no array for ``add``,
+        ``reshape``, ``permute``, ``gather_rows``, ``concat`` or ``sum_``),
+        so every other activation went with the caller's last reference.
+
         Backward consumes the tape: it pops each node off the walk and
-        unlinks its ``_prev`` and ``_backward``, so a gradient rule is freed
-        once it has run (at once if its node received no gradient), and
-        with it every buffer only that rule read. After the call nothing but
-        the caller's own variables refers to the recorded tensors; those
-        keep ``.data``, leaves keep ``.grad``, and the graph cannot be
+        unlinks its inputs and rule, so a rule is freed once it has run (at
+        once if its node received no gradient), and with it every array
+        only that rule read. Interior gradients live only until their
+        node's rule has run; leaves keep ``.grad``. The graph cannot be
         walked again.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        if self._backward_ran:
+        root = self._node
+        if root is None:                    # a leaf (or untaped) loss
+            if self.requires_grad:
+                _accumulate(self, np.ones_like(self.data))
+            return
+        if root.rule is None:
             raise RuntimeError("backward already ran on this tape; re-record the graph first")
-        self._backward_ran = True
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in visited:
+            for parent in node.inputs:
+                if isinstance(parent, _Node) and parent not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(np.ones_like(self.data))
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            fn, node._backward, node._prev = node._backward, None, ()
-            if fn is not None and node.grad is not None:
-                fn(node.grad)
-                # interior nodes only carry gradient transiently; leaves keep theirs
-                node.grad = None
+            rule, inputs, g = node.rule, node.inputs, node.grad
+            node.rule, node.inputs, node.grad = None, (), None
+            if rule is not None and g is not None:
+                for target, gi in zip(inputs, rule(g)):
+                    if target is not None:
+                        _accumulate(target, gi)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -348,15 +387,16 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _taped(parents: Sequence[Tensor]) -> bool:
-    return _grad_enabled and any(p.requires_grad for p in parents)
-
-
-def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    needs = _taped(parents)
-    out = Tensor(out_data, requires_grad=needs, _prev=parents if needs else ())
-    if needs:
-        out._backward = backward
+def _make(out_data: np.ndarray, inputs: Sequence[Tensor], rule) -> Tensor:
+    """The output tensor of an op; taped, with a node of ``rule``, when
+    the tape records and an input requires grad."""
+    out = Tensor(out_data)
+    if _grad_enabled and any(t.requires_grad for t in inputs):
+        _share_heap()
+        out.requires_grad = True
+        # a leaf tensor that requires grad is its own node
+        nodes = tuple((t._node or t) if t.requires_grad else None for t in inputs)
+        out._node = _Node(nodes, rule, out.dtype)
     return out
 
 
@@ -365,71 +405,50 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 def add(a: Tensor, b) -> Tensor:
     a = _wrap(a)
     b = _wrap(b, a.dtype)
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), backward)
+    sa, sb = a.shape, b.shape
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b) -> Tensor:
     a = _wrap(a)
     if isinstance(b, (int, float)):
         scale = float(b)
-
-        def backward_scalar(g):
-            a._accumulate(g * scale)
-
-        return _make(a.data * np.asarray(scale, dtype=a.dtype), (a,), backward_scalar)
+        return _make(a.data * np.asarray(scale, dtype=a.dtype), (a,),
+                     lambda g: (g * scale,))
 
     b = _wrap(b, a.dtype)
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
+                                             _unbroadcast(g * ad, bd.shape)))
 
 
 def pow_(a: Tensor, exponent: float) -> Tensor:
     a = _wrap(a)
     p = float(exponent)
-
-    def backward(g):
-        a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return _make(a.data**p, (a,), backward)
+    ad = a.data
+    return _make(ad**p, (a,), lambda g: (g * p * ad ** (p - 1.0),))
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _wrap(a)
     out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * (0.5 / out_data))
-
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (a,), lambda g: (g * (0.5 / out_data),))
 
 
 def abs_(a: Tensor) -> Tensor:
     a = _wrap(a)
-
-    def backward(g):
-        a._accumulate(g * np.sign(a.data))
-
-    return _make(np.abs(a.data), (a,), backward)
+    ad = a.data
+    return _make(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
     a = _wrap(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-
-    def backward(g):
-        a._accumulate(g.reshape(a.shape))
-
-    return _make(np.ascontiguousarray(a.data.reshape(shape)), (a,), backward)
+    sa = a.shape
+    return _make(np.ascontiguousarray(a.data.reshape(shape)), (a,),
+                 lambda g: (g.reshape(sa),))
 
 
 def permute(a: Tensor, *axes) -> Tensor:
@@ -437,37 +456,36 @@ def permute(a: Tensor, *axes) -> Tensor:
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
         axes = tuple(axes[0])
     inverse = np.argsort(axes)
-
-    def backward(g):
-        a._accumulate(g.transpose(inverse))
-
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
+    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                 lambda g: (g.transpose(inverse),))
 
 
 def getitem(a: Tensor, idx) -> Tensor:
     """Basic (slice/int) indexing. Backward scatters into a zero buffer, so
     the index must not repeat elements; use ``take`` for gather semantics."""
     a = _wrap(a)
+    sa, dtype = a.shape, a.dtype
 
-    def backward(g):
-        full = np.zeros_like(a.data)
+    def rule(g):
+        full = np.zeros(sa, dtype=dtype)
         full[idx] = g
-        a._accumulate(full)
+        return (full,)
 
-    return _make(np.ascontiguousarray(a.data[idx]), (a,), backward)
+    return _make(np.ascontiguousarray(a.data[idx]), (a,), rule)
 
 
 def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     """Gather along one axis with a 1-d integer index; repeats allowed."""
     a = _wrap(a)
     idx = np.asarray(indices)
+    sa, dtype = a.shape, a.dtype
 
-    def backward(g):
-        full = np.zeros_like(a.data)
+    def rule(g):
+        full = np.zeros(sa, dtype=dtype)
         np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
-        a._accumulate(full)
+        return (full,)
 
-    return _make(np.ascontiguousarray(np.take(a.data, idx, axis=axis)), (a,), backward)
+    return _make(np.ascontiguousarray(np.take(a.data, idx, axis=axis)), (a,), rule)
 
 
 def gather_rows(a: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
@@ -477,51 +495,36 @@ def gather_rows(a: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
     backward is the inverse gather: every row moves once, and nothing is
     summed or scattered."""
     a = _wrap(a)
-
-    def backward(g):
-        a._accumulate(np.take(g, inverse, axis=1))
-
-    return _make(np.take(a.data, index, axis=1), (a,), backward)
+    return _make(np.take(a.data, index, axis=1), (a,),
+                 lambda g: (np.take(g, inverse, axis=1),))
 
 
 def roll(a: Tensor, shifts: Tuple[int, ...], axes: Tuple[int, ...]) -> Tensor:
     a = _wrap(a)
-
-    def backward(g):
-        a._accumulate(np.roll(g, tuple(-s for s in shifts), axis=axes))
-
-    return _make(np.roll(a.data, shifts, axis=axes), (a,), backward)
+    back = tuple(-s for s in shifts)
+    return _make(np.roll(a.data, shifts, axis=axes), (a,),
+                 lambda g: (np.roll(g, back, axis=axes),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward(g):
-        start = 0
-        for t, n in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + n)
-            t._accumulate(g[tuple(sl)])
-            start += n
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    ends = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, ends, axis=axis))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     axes = axis if axis is None else (axis if isinstance(axis, tuple) else (axis,))
+    sa = a.shape
 
-    def backward(g):
-        if axes is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
-            for ax in sorted(ax % a.ndim for ax in axes):
+    def rule(g):
+        if axes is not None and not keepdims:
+            for ax in sorted(ax % len(sa) for ax in axes):
                 g = np.expand_dims(g, ax)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        return (np.broadcast_to(g, sa).copy(),)
 
-    return _make(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)), (a,), backward)
+    return _make(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)), (a,), rule)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -540,14 +543,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product contracting the trailing pair of dimensions."""
     a = _wrap(a)
     b = _wrap(b)
-
-    def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
-
-    return _make(np.matmul(a.data, b.data), (a, b), backward)
+    ad, bd = a.data, b.data
+    return _make(np.matmul(ad, bd), (a, b), lambda g: (
+        _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape),
+        _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)))
 
 
 # -- neural-net ops ---------------------------------------------------------
@@ -573,21 +572,19 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     din, dout = weight.shape
     if x.shape[-1] != din:
         raise ValueError(f"linear: input width {x.shape[-1]} != weight Din {din}")
-    lead = x.shape[:-1]
+    sx, wd, biased = x.shape, weight.data, bias is not None
     x2 = x.data.reshape(-1, din)
-    out = x2 @ weight.data
-    if bias is not None:
+    out = x2 @ wd
+    if biased:
         _add_bias(out, bias.data)
 
-    def backward(g):
+    def rule(g):
         g2 = g.reshape(-1, dout)
-        x._accumulate((g2 @ weight.data.T).reshape(x.shape))
-        weight._accumulate(x2.T @ g2)
-        if bias is not None:
-            bias._accumulate(g2.sum(axis=0))
+        grads = (g2 @ wd.T).reshape(sx), x2.T @ g2
+        return grads + (g2.sum(axis=0),) if biased else grads
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out.reshape(*lead, dout), parents, backward)
+    inputs = (x, weight, bias) if biased else (x, weight)
+    return _make(out.reshape(*sx[:-1], dout), inputs, rule)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray,
@@ -672,14 +669,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(f"conv2d: non-positive output size {hout}x{wout}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = _correlate(xp, weight.data, None if bias is None else bias.data)
+    wd, needs_dx, biased = weight.data, x.requires_grad, bias is not None
+    out = _correlate(xp, wd, bias.data if biased else None)
 
-    def backward(g):
-        if x.requires_grad:
+    def rule(g):
+        gx = None
+        if needs_dx:
             qh, qw = kh - 1 - padding, kw - 1 - padding      # < 0: crop g
             gp = np.pad(g[:, :, max(-qh, 0):hout + min(qh, 0), max(-qw, 0):wout + min(qw, 0)],
                         ((0, 0), (0, 0), (max(qh, 0),) * 2, (max(qw, 0),) * 2))
-            x._accumulate(_correlate(gp, weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+            gx = _correlate(gp, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         span = (hout - 1) * wp + wout
         ggrid = np.zeros((n, cout, hout * wp), dtype=g.dtype)
         ggrid.reshape(n, cout, hout, wp)[:, :, :, :wout] = g
@@ -688,12 +687,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         for i, j in np.ndindex(kh, kw):
             tap = flat[:, :, i * wp + j:i * wp + j + span].transpose(0, 2, 1)
             dw[:, :, i, j] = np.matmul(ggrid[:, :, :span], tap).sum(axis=0)
-        weight._accumulate(dw)
-        if bias is not None:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        return (gx, dw, g.sum(axis=(0, 2, 3))) if biased else (gx, dw)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, parents, backward)
+    return _make(out, (x, weight, bias) if biased else (x, weight), rule)
 
 
 def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
@@ -729,12 +725,12 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
     xhat = h.reshape(x.shape)
     inv = inv.reshape(*x.shape[:-1], 1)
 
-    def backward(g):
+    def rule(g):
         m1 = g.mean(axis=-1, keepdims=True)
         m2 = (g * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (g - m1 - xhat * m2))
+        return (inv * (g - m1 - xhat * m2),)
 
-    out = _make(xhat, (x,), backward)
+    out = _make(xhat, (x,), rule)
     if gamma is None:
         return out
     return add(mul(out, gamma), beta)
@@ -821,13 +817,10 @@ def gelu(x: Tensor) -> Tensor:
     [-10, 10]. float64 keeps scipy's erf, so gradient checks keep float64
     accuracy."""
     x = _wrap(x)
-    out = _normal_cdf(x.data, np.empty_like(x.data))
-    out *= x.data
-
-    def backward(g):
-        x._accumulate(g * _gelu_grad(x.data))
-
-    return _make(out, (x,), backward)
+    xd = x.data
+    out = _normal_cdf(xd, np.empty_like(xd))
+    out *= xd
+    return _make(out, (x,), lambda g: (g * _gelu_grad(xd),))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -837,11 +830,11 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def backward(g):
+    def rule(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        x._accumulate(out * (g - dot))
+        return (out * (g - dot),)
 
-    return _make(out, (x,), backward)
+    return _make(out, (x,), rule)
 
 
 # logit bound below which softmax needs no column max: E = exp(S) stays in
@@ -916,9 +909,9 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     d = c // heads
     if mask is not None and nw % len(mask.slots):
         raise ValueError(f"{nw} windows not a multiple of {len(mask.slots)} mask windows")
-    dtype = qkv.dtype
+    qd, dtype = qkv.data, qkv.dtype
     # [3, nW, heads, tokens, d] strided views; BLAS reads them in place
-    q, k, v = qkv.data.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    q, k, v = qd.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
 
     def heads_view(buf):
         return buf.reshape(nw, mm, heads, d).transpose(0, 2, 1, 3)
@@ -929,7 +922,7 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
         slots = mask.slots[np.arange(nw) % len(mask.slots)]
         for i in np.flatnonzero(slots >= 0):
             e[i] += mask.blocks[slots[i]]
-    if not _skips_max(qkv.data, bias.data, d):
+    if not _skips_max(qd, bias.data, d):
         e -= e.max(axis=-2, keepdims=True)
     np.exp(e, out=e)
     r = np.matmul(np.ones((1, mm), dtype=dtype), e)
@@ -940,9 +933,9 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     out_h = heads_view(out)
     out_h[...] = vte.swapaxes(-1, -2)
 
-    def backward(g):
+    def rule(g):
         gs = heads_view(g) * r.swapaxes(-1, -2)
-        grad = np.empty_like(qkv.data)
+        grad = np.empty_like(qd)
         gq, gk, gv = grad.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
         np.matmul(e, gs, out=gv)
         ds = np.matmul(v, gs.swapaxes(-1, -2))
@@ -950,10 +943,9 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
         ds *= e
         np.matmul(ds.swapaxes(-1, -2), k, out=gq)
         np.matmul(ds, q, out=gk)
-        qkv._accumulate(grad)
-        bias._accumulate(ds.sum(axis=0))
+        return grad, ds.sum(axis=0)
 
-    return _make(out.reshape(*qkv.shape[:-1], c), (qkv, bias), backward)
+    return _make(out.reshape(*qkv.shape[:-1], c), (qkv, bias), rule)
 
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:

@@ -159,9 +159,11 @@ def make_validation_pairs(hq_images: Sequence[ImageBuffer],
 def restore_image(params: ModelParams, lq: ImageBuffer) -> ImageBuffer:
     """Run the network on one image, clamped back to an image buffer.
     Raises FloatingPointError if the output holds NaN or Inf, which the
-    clamp would otherwise pass off as black or white pixels."""
+    clamp would otherwise pass off as black or white pixels; the forward
+    runs with numpy's overflow and invalid-value warnings off, since this
+    check reports them."""
     x = Tensor(np.moveaxis(lq.data, 2, 0)[None])
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         y = forward(params, x)
     if not np.isfinite(y.data).all():
         raise FloatingPointError("the restored image holds NaN or Inf")
@@ -355,8 +357,8 @@ def gradcheck(model_cfg: SwinIRConfig, tolerance: float = 1e-4,
     no difference sits near the non-differentiable tie.
     """
     model_cfg.validate()
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(f"gradcheck tolerance must be finite and >= 0, got {tolerance}")
+    if not 0 < tolerance < math.inf:     # errors pass below it, and none is below 0
+        raise ValueError(f"gradcheck tolerance must be finite and > 0, got {tolerance}")
     rng = SplitMix64(derive(seed, 0x6C))
     params = init_params(model_cfg, seed=derive(seed, 0x1817), dtype=np.float64)
     h = w = image_size

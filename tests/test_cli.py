@@ -568,12 +568,7 @@ class TestGradcheckInspect:
         # attention backward is checked too
         assert "rstb.0.stl.1.attn.bias_table" in out
 
-    def test_gradcheck_impossible_tolerance(self, capsys):
-        rc = main(["gradcheck", "--tolerance", "0"])
-        assert rc == 4
-        assert "FAIL" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
     def test_gradcheck_bad_tolerance_usage_error(self, tolerance, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("a model was built")
@@ -596,9 +591,10 @@ class TestGradcheckInspect:
 class TestNonFiniteRestore:
     """A forward that overflows exits 4, names the input and writes no
     output for it; the [0, 1] clamp would otherwise turn inf into white
-    and NaN into black. The overflow raises numpy RuntimeWarnings, which
-    the test settings make errors, so each call runs in a fresh
-    interpreter."""
+    and NaN into black. The restore checks its output itself, so numpy's
+    overflow warnings stay off and the error line is all of stderr. Each
+    call runs in a fresh interpreter, whose default warning settings print
+    any warning to that stderr (the test settings make them errors)."""
 
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_exit_4_and_no_output(self, tmp_path, command):
@@ -616,8 +612,7 @@ class TestNonFiniteRestore:
                               env=package_env(), capture_output=True, text=True,
                               timeout=60)
         assert done.returncode == 4, done.stderr
-        assert f"error: {src}: the restored image holds NaN or Inf" in done.stderr
-        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: {src}: the restored image holds NaN or Inf\n"
         assert not out.exists()
         assert "mean" not in done.stdout
 

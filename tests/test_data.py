@@ -13,6 +13,7 @@ from swinir.degrade import (DegradationSpec, _keys, _resize_matrix,
                             sample_patch_pair)
 from swinir.imageio import (ImageBuffer, ImageFormatError, load_image,
                             read_image_shape, read_manifest, save_image)
+from swinir.rng import GAMMA, MASK64, SplitMix64
 
 
 class TestNetpbm:
@@ -320,3 +321,20 @@ class TestTextures:
     def test_color_mode(self):
         img = procedural_texture(5, 16, 16, channels=3)
         assert img.channels == 3 and img.color == "rgb"
+
+
+class TestSplitMix64:
+    # MASK64 and the last three: the counter wraps past 2^64 to 1 on the
+    # first, second or third draw
+    @pytest.mark.parametrize("seed", [0, 12345, MASK64] + [(1 - k * GAMMA) % 2 ** 64
+                                                           for k in (1, 2, 3)])
+    def test_one_value_draws_are_slices_of_a_block(self, seed):
+        block, block_rng = SplitMix64(seed).u64(6), SplitMix64(seed)
+        block_rng.u64(6)
+        rng = SplitMix64(seed)
+        for i in range(3):
+            one = rng.u64(1)
+            assert one.dtype == np.uint64 and one.shape == (1,)
+            assert one[0] == block[i]
+        np.testing.assert_array_equal(rng.u64(3), block[3:])
+        assert rng.state == block_rng.state

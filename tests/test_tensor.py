@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import (assert_all_equal, block_budgets, check_gradients,
                       usable_cpus)
 from swinir import tensor as T
 from swinir.losses import l1_loss
-from swinir.model import forward, init_params, tiny_config
+from swinir.model import forward, init_params, lightweight_sr_config, tiny_config
 from swinir.tensor import (Tensor, abs_, concat, conv2d, gather_rows, gelu,
                            layer_norm, linear, matmul, mean, mul, no_grad,
                            parallel_for, pixel_shuffle, pixel_unshuffle, roll,
@@ -300,11 +301,33 @@ class TestParallelMap:
             parallel_for(task, range(8))
         assert len(threads) == (1 if T._BLAS is None else 2)
 
+    def test_pool_threads_keep_the_callers_errstate(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        states = []
+
+        def task(_):
+            states.append(np.geterr()["over"])
+            threading.Event().wait(0.01)    # let both threads take an item
+
+        with no_grad(), np.errstate(over="ignore"):
+            parallel_for(task, range(4))
+        assert states == ["ignore"] * 4
+
+    def test_first_taped_op_shares_the_heap(self, monkeypatch):
+        monkeypatch.setattr(T, "_heap_shared", False)
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            x * 2.0
+        assert not T._heap_shared
+        x * 2.0
+        assert T._heap_shared
+
     def test_heap_setup_without_a_c_library_is_a_no_op(self, monkeypatch):
         def unopenable(*args, **kwargs):
             raise OSError("no C library")
 
         monkeypatch.setattr(ctypes, "CDLL", unopenable)
+        monkeypatch.setattr(T, "_heap_shared", False)    # as in a fresh process
         T._share_heap()
         # the first pool of the process still starts and runs every item
         monkeypatch.setattr(T, "_pool", None)
@@ -647,29 +670,54 @@ class TestBackward:
         x = Tensor(np.array([1.0]), requires_grad=True)
         with no_grad():
             y = sum_(x * 2.0)
-        assert not y.requires_grad and y._backward is None
+        assert not y.requires_grad and y._node is None
 
     def test_backward_consumes_the_tape(self, rng):
         params = init_params(tiny_config(task="sr", scale=2, stl_per_rstb=2), seed=0)
         pred = forward(params, Tensor(rng.uniform(size=(1, 1, 8, 8)).astype(np.float32)))
         loss = l1_loss(pred, Tensor(rng.uniform(size=(1, 1, 16, 16)).astype(np.float32)))
-        reachable, stack = {}, [loss]
+        # interior nodes and the leaf tensors that are their own nodes
+        reachable, stack = {}, [loss._node]
         while stack:
             node = stack.pop()
-            if id(node) not in reachable:
+            if node is not None and id(node) not in reachable:
                 reachable[id(node)] = node
-                stack.extend(node._prev)
-        assert len(reachable) > 100
+                stack.extend(getattr(node, "inputs", ()))
+        nodes = [n for n in reachable.values() if isinstance(n, T._Node)]
+        assert len(reachable) > 100 and len(nodes) > 50
         loss.backward()
-        # no node links to another or holds a closure, so each interior
-        # buffer went with the last rule that read it
-        for node in reachable.values():
-            assert node._prev == () and node._backward is None
+        # no node links to another, holds a rule or a gradient, so each
+        # interior buffer went with the last rule that read it
+        for node in nodes:
+            assert node.inputs == () and node.rule is None and node.grad is None
         for name, t in params.named():
             assert t.grad is not None and t.grad.shape == t.shape, name
         assert pred.data.shape == (1, 1, 16, 16)
         with pytest.raises(RuntimeError, match="re-record"):
             loss.backward()
+
+    def test_tape_keeps_only_what_rules_read(self, rng):
+        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        h = x + 1.0
+        y = gelu(h)                 # its rule reads h, not its own output
+        loss = sum_(y * 2.0)        # a scalar product's rule reads nothing
+        read, unread = weakref.ref(h.data), weakref.ref(y.data)
+        del h, y
+        assert unread() is None and read() is not None
+        loss.backward()
+        assert read() is None
+        np.testing.assert_allclose(x.grad, 2.0 * T._gelu_grad(x.data + 1.0))
+
+    def test_taped_step_memory(self, rng):
+        # a taped 1 x 32^2 step of the lightweight x2 model peaks at 94 MB;
+        # a tape whose nodes kept their outputs until backward reached them
+        # would peak at 131 MB
+        params = init_params(lightweight_sr_config(2, 1), seed=0)
+        lq = Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32))
+        hq = Tensor(rng.uniform(size=(1, 1, 64, 64)).astype(np.float32))
+        with traced_peak() as peak:
+            l1_loss(forward(params, lq), hq).backward()
+            assert peak() < 110 * 2**20
 
     def test_two_step_loop_holds_one_tape(self, rng):
         # as train() runs it: pred and loss stay bound until the next
