@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import (Tensor, concat, gelu, grad_enabled, layer_norm, linear,
-                     mul, parallel_for, permute, reshape, take, window_attention)
+from .tensor import (Tensor, concat, grad_enabled, layer_norm, linear, mlp, mul,
+                     parallel_for, permute, reshape, take, window_attention)
 from .windows import AttnMask, WindowGrid, build_attn_mask
 
 # a LayerNorm's gain and shift, (gamma, beta)
@@ -133,11 +133,12 @@ def window_msa(x: Tensor, params: WindowAttentionParams,
 
 def mlp_forward(x: Tensor, params: MlpParams,
                 fc1: Optional[Tuple[Tensor, Tensor]] = None) -> Tensor:
-    """fc2(GELU(fc1(x))). ``fc1`` is fc1's weight and bias with a norm
-    folded in (``fold_norm``), built once per layer; None takes them from
-    ``params``."""
+    """fc2(GELU(fc1(x))), one ``tensor.mlp`` op: the tape keeps x and fc1's
+    output, and backward rebuilds GELU from them. ``fc1`` is fc1's weight
+    and bias with a norm folded in (``fold_norm``), built once per layer;
+    None takes them from ``params``."""
     w, b = (params.fc1_w, params.fc1_b) if fc1 is None else fc1
-    return linear(gelu(linear(x, w, b)), params.fc2_w, params.fc2_b)
+    return mlp(x, w, b, params.fc2_w, params.fc2_b)
 
 
 def layer_weights(params: StlParams) -> LayerWeights:

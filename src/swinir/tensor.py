@@ -274,10 +274,14 @@ class Tensor:
         The tape keeps no tensor: a node keeps its inputs' nodes and a rule
         holding only the arrays its formula reads (the input and weight of
         ``linear``, the padded input of ``conv2d``, the normalized rows and
-        1/sigma of ``layer_norm``, the input of ``gelu``, qkv, E, r and the
+        1/sigma of ``layer_norm``, the input of ``gelu``, the input,
+        weights and hidden pre-activation h of ``mlp``, qkv, r and the
         output of ``window_attention``, and no array for ``add``,
         ``reshape``, ``permute``, ``gather_rows``, ``concat`` or ``sum_``),
         so every other activation went with the caller's last reference.
+        Where a product is cheap to redo, the rule recomputes it rather
+        than keep it: ``window_attention`` rebuilds its scores E from qkv,
+        and ``mlp`` rebuilds GELU(h) from h.
 
         Backward consumes the tape: it pops each node off the walk and
         unlinks its inputs and rule, so a rule is freed once it has run (at
@@ -566,17 +570,29 @@ def _add_bias(out: np.ndarray, b: np.ndarray) -> None:
     out[full:] += b
 
 
+def _affine(x2: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """x2[rows, Din] @ w[Din, Dout] (+ b[Dout]) into a new array."""
+    out = x2 @ w
+    if b is not None:
+        _add_bias(out, b)
+    return out
+
+
+def _rows(x: Tensor, weight: Tensor) -> np.ndarray:
+    """x's data as [rows, Din] for a product with weight[Din, Dout]."""
+    din = weight.shape[0]
+    if x.shape[-1] != din:
+        raise ValueError(f"linear: input width {x.shape[-1]} != weight Din {din}")
+    return x.data.reshape(-1, din)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """x[..., Din] @ weight[Din, Dout] (+ bias[Dout])."""
     x = _wrap(x)
-    din, dout = weight.shape
-    if x.shape[-1] != din:
-        raise ValueError(f"linear: input width {x.shape[-1]} != weight Din {din}")
+    x2 = _rows(x, weight)
     sx, wd, biased = x.shape, weight.data, bias is not None
-    x2 = x.data.reshape(-1, din)
-    out = x2 @ wd
-    if biased:
-        _add_bias(out, bias.data)
+    dout = wd.shape[1]
+    out = _affine(x2, wd, bias.data if biased else None)
 
     def rule(g):
         g2 = g.reshape(-1, dout)
@@ -646,6 +662,15 @@ def _correlate(xp: np.ndarray, w: np.ndarray,
     return grid.reshape(n, cout, hout, wp)[:, :, :, :wout]
 
 
+def _zero_pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """a [N, C, H, W] with ph zero rows above and below and pw zero columns
+    on either side: one zeroed buffer, a copied into its interior."""
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=a.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = a
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            padding: int = 0) -> Tensor:
     """2-d cross-correlation, stride 1, zero padding.
@@ -668,7 +693,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if hout <= 0 or wout <= 0:
         raise ValueError(f"conv2d: non-positive output size {hout}x{wout}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = _zero_pad(x.data, padding, padding)
     wd, needs_dx, biased = weight.data, x.requires_grad, bias is not None
     out = _correlate(xp, wd, bias.data if biased else None)
 
@@ -676,8 +701,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         gx = None
         if needs_dx:
             qh, qw = kh - 1 - padding, kw - 1 - padding      # < 0: crop g
-            gp = np.pad(g[:, :, max(-qh, 0):hout + min(qh, 0), max(-qw, 0):wout + min(qw, 0)],
-                        ((0, 0), (0, 0), (max(qh, 0),) * 2, (max(qw, 0),) * 2))
+            gp = _zero_pad(g[:, :, max(-qh, 0):hout + min(qh, 0), max(-qw, 0):wout + min(qw, 0)],
+                           max(qh, 0), max(qw, 0))
             gx = _correlate(gp, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         span = (hout - 1) * wp + wout
         ggrid = np.zeros((n, cout, hout * wp), dtype=g.dtype)
@@ -726,8 +751,8 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
     inv = inv.reshape(*x.shape[:-1], 1)
 
     def rule(g):
-        m1 = g.mean(axis=-1, keepdims=True)
-        m2 = (g * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(g, axis=-1, keepdims=True) / c
+        m2 = np.add.reduce(g * xhat, axis=-1, keepdims=True) / c
         return (inv * (g - m1 - xhat * m2),)
 
     out = _make(xhat, (x,), rule)
@@ -799,12 +824,21 @@ def _normal_cdf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_grad(xd: np.ndarray) -> np.ndarray:
-    # d/dx [x * Phi(x)] = Phi(x) + x * phi(x); phi from the clipped value,
-    # as x^2 overflows float32 above 1.8e19 and exp(-800) is 0 anyway
+def _gelu_grad(xd: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
+    # d/dx [x * Phi(x)] = Phi(x) + x * phi(x), with cdf = Phi(x) where the
+    # caller has it; phi from the clipped value, as x^2 overflows float32
+    # above 1.8e19 and exp(-800) is 0 anyway
     xc = np.clip(xd, -40.0, 40.0)
     phi = np.exp(-0.5 * xc * xc) * _INV_SQRT2PI
-    return _normal_cdf(xd, np.empty_like(xd)) + xd * phi
+    if cdf is None:
+        cdf = _normal_cdf(xd, np.empty_like(xd))
+    return cdf + xd * phi
+
+
+def _gelu(xd: np.ndarray) -> np.ndarray:
+    out = _normal_cdf(xd, np.empty_like(xd))
+    out *= xd
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -818,9 +852,34 @@ def gelu(x: Tensor) -> Tensor:
     accuracy."""
     x = _wrap(x)
     xd = x.data
-    out = _normal_cdf(xd, np.empty_like(xd))
-    out *= xd
-    return _make(out, (x,), lambda g: (g * _gelu_grad(xd),))
+    return _make(_gelu(xd), (x,), lambda g: (g * _gelu_grad(xd),))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """GELU(x W1 + b1) W2 + b2 over x[..., Din], as one op: the bits of
+    ``linear(gelu(linear(x, w1, b1)), w2, b2)``, with and without a tape.
+
+    The tape keeps x and h = x W1 + b1, not GELU(h). Backward evaluates
+    Phi(h) once and reads it twice: GELU(h) = h Phi(h) for dW2, and the
+    derivative Phi(h) + h phi(h) (``_gelu_grad``) for dh. That is one
+    multiply more than the separate ops' backward, which evaluated Phi
+    for the derivative anyway."""
+    x = _wrap(x)
+    x2 = _rows(x, w1)
+    sx, w1d, w2d = x.shape, w1.data, w2.data
+    h = _affine(x2, w1d, b1.data)
+    out = _affine(_gelu(h), w2d, b2.data)
+
+    def rule(g):
+        g2 = g.reshape(-1, w2d.shape[1])
+        cdf = _normal_cdf(h, np.empty_like(h))
+        dw2 = (h * cdf).T @ g2
+        dh = g2 @ w2d.T
+        dh *= _gelu_grad(h, cdf)
+        return ((dh @ w1d.T).reshape(sx), x2.T @ dh, dh.sum(axis=0),
+                dw2, g2.sum(axis=0))
+
+    return _make(out.reshape(*sx[:-1], w2d.shape[1]), (x, w1, b1, w2, b2), rule)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -868,8 +927,8 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     a transformer layer passes one chunk of at most 2,048 rows
     (``attention._CHUNK_ROWS``), 3 MB of float32 scores at 6 heads and
     window 8, and that chunk is the only bound on them. Bias and the
-    mask's -inf entries (added window by window, only on boundary windows)
-    update the score buffer in place, which exp turns into E. E is never
+    mask's -inf entries (one indexed add over the boundary windows) update
+    the score buffer in place, which exp turns into E. E is never
     normalized: its column sums come from one product, ones[1, key] @ E,
     and the output is scaled by their reciprocals r.
 
@@ -891,13 +950,18 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
 
     The output product runs transposed: V^T E into one [windows, heads, d,
     query] buffer, scaled by r along its contiguous query axis, then
-    copied into the [query, d] head slices of the output. The tape keeps E
-    and r.
+    copied into the [query, d] head slices of the output. E is dropped
+    there: the tape keeps qkv, r, the output and, on the exact-max path,
+    the column max, [windows, heads, 1, query], 1/m^2 of E's size.
 
-    Backward, with A = E r and gs = r g, the gradient g scaled per query:
-    dV = E gs, and the softmax rule dS = A (dA - D) with dA = V g^T and
-    D = rowsum(out * g) becomes dS = E (V gs^T - rowsum(out * gs)), as in
-    FlashAttention; dQ = dS^T K, dK = dS Q and dB = dS summed over windows.
+    Backward rebuilds E with the same local function as the forward, the
+    kept column max in place of a new one, so it has the forward's bits;
+    as in FlashAttention (Dao et al., arXiv 2205.14135), one more K Q^T,
+    bias add and exp buy back E's memory. With A = E r and gs = r g, the
+    gradient g scaled per query: dV = E gs, and the softmax rule dS =
+    A (dA - D) with dA = V g^T and D = rowsum(out * g) becomes dS =
+    E (V gs^T - rowsum(out * gs)); dQ = dS^T K, dK = dS Q and dB = dS
+    summed over windows.
     """
     qkv = _wrap(qkv)
     heads, mm = bias.shape[0], bias.shape[-1]
@@ -916,24 +980,37 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     def heads_view(buf):
         return buf.reshape(nw, mm, heads, d).transpose(0, 2, 1, 3)
 
-    e = np.matmul(k, q.swapaxes(-1, -2))
-    e += bias.data
+    bd, skip = bias.data, _skips_max(qd, bias.data, d)
     if mask is not None:
         slots = mask.slots[np.arange(nw) % len(mask.slots)]
-        for i in np.flatnonzero(slots >= 0):
-            e[i] += mask.blocks[slots[i]]
-    if not _skips_max(qd, bias.data, d):
-        e -= e.max(axis=-2, keepdims=True)
-    np.exp(e, out=e)
+        edge = np.flatnonzero(slots >= 0)
+        pattern = slots[edge]
+
+    def scores(shift=None):
+        """(E, shift): exp(K Q^T + B + mask - shift). The forward passes
+        no shift, and one is taken from the column max unless ``skip``."""
+        e = np.matmul(k, q.swapaxes(-1, -2))
+        e += bd
+        if mask is not None:
+            e[edge] += mask.blocks[pattern]
+        if shift is None and not skip:
+            shift = e.max(axis=-2, keepdims=True)
+        if shift is not None:
+            e -= shift
+        return np.exp(e, out=e), shift
+
+    e, shift = scores()
     r = np.matmul(np.ones((1, mm), dtype=dtype), e)
     np.divide(1.0, r, out=r)
     vte = np.matmul(v.swapaxes(-1, -2), e)
+    del e
     vte *= r
     out = np.empty((nw, mm, c), dtype=dtype)
     out_h = heads_view(out)
     out_h[...] = vte.swapaxes(-1, -2)
 
     def rule(g):
+        e = scores(shift)[0]
         gs = heads_view(g) * r.swapaxes(-1, -2)
         grad = np.empty_like(qd)
         gq, gk, gv = grad.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)

@@ -414,6 +414,24 @@ class TestStl:
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("taped_input, nodes", [(False, 20), (True, 21)])
+    def test_taped_layer_node_count(self, rng, taped_input, nodes):
+        # 13 nodes build the folded products and the gathered bias; the
+        # rows take two LayerNorms (the first untaped when x takes no
+        # gradient), QKV, the attention core, the output projection, the
+        # MLP as one op and two residual adds
+        stl = init_params(lightweight_sr_config(2, 1), seed=0).rstbs[0].stls[1]
+        assert stl.shift
+        x = Tensor(rng.normal(size=(1, 256, 60)).astype(np.float32),
+                   requires_grad=taped_input)
+        reached, stack = set(), [stl_forward(x, stl, WindowGrid(16, 16, 8))._node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, T._Node) and id(node) not in reached:
+                reached.add(id(node))
+                stack.extend(node.inputs)
+        assert len(reached) == nodes
+
     def test_chunked_layer_matches_dense_oracle(self, rng, monkeypatch):
         # shifted layer on a batch of two 6x6 images at window 2: 18
         # windows, 9 mask windows per image. Chunks of 4 windows (16 rows)

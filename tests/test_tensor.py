@@ -19,7 +19,7 @@ from swinir import tensor as T
 from swinir.losses import l1_loss
 from swinir.model import forward, init_params, lightweight_sr_config, tiny_config
 from swinir.tensor import (Tensor, abs_, concat, conv2d, gather_rows, gelu,
-                           layer_norm, linear, matmul, mean, mul, no_grad,
+                           layer_norm, linear, matmul, mean, mlp, mul, no_grad,
                            parallel_for, pixel_shuffle, pixel_unshuffle, roll,
                            softmax, sqrt, sum_, take, window_attention)
 from swinir.windows import build_attn_mask
@@ -384,6 +384,30 @@ class TestGelu:
         check_gradients(lambda a: sum_(gelu(a)), [rng.normal(size=(2, 7))])
 
 
+class TestFusedMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_separate_ops_bit_for_bit(self, rng, dtype):
+        # 2 x 45 rows: a whole run of 64 for the tiled bias add, and a tail
+        shapes = [(2, 45, 6), (6, 12), (12,), (12, 6), (6,)]
+        arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+        g = Tensor(rng.normal(size=(2, 45, 6)).astype(dtype))
+
+        def run(fn):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*ts)
+            sum_(out * g).backward()
+            return [out.data] + [t.grad for t in ts]
+
+        assert_all_equal([
+            run(mlp),
+            run(lambda x, w1, b1, w2, b2: linear(gelu(linear(x, w1, b1)), w2, b2))])
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(ValueError, match="Din"):
+            mlp(Tensor(np.zeros((2, 3))), *[Tensor(np.zeros(s)) for s in
+                                           [(4, 5), (5,), (5, 3), (3,)]])
+
+
 class TestErf:
     """float32 erf(x / sqrt 2), from which Phi and GELU follow, is a tanh
     form (``T._erf_over_sqrt2``); float64 keeps scipy's erf. These tie the
@@ -708,6 +732,51 @@ class TestBackward:
         assert read() is None
         np.testing.assert_allclose(x.grad, 2.0 * T._gelu_grad(x.data + 1.0))
 
+    @staticmethod
+    def captured(rule):
+        """Every array that a rule's closure holds, also through the
+        functions and tuples it captures."""
+        found, seen, stack = [], set(), [rule]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            elif isinstance(obj, tuple):
+                stack.extend(obj)
+            elif callable(obj):
+                for cell in getattr(obj, "__closure__", None) or ():
+                    try:
+                        stack.append(cell.cell_contents)
+                    except ValueError:          # a free variable never bound
+                        pass
+        return found
+
+    @pytest.mark.parametrize("skip_max", [True, False])
+    def test_attention_rule_keeps_no_scores(self, rng, monkeypatch, skip_max):
+        # backward rebuilds E from qkv; on the exact-max path it keeps the
+        # column-max shift, 1/m^2 of E
+        monkeypatch.setattr(T, "_skips_max", lambda *a: skip_max)
+        heads, d, m = 2, 4, 4
+        mask = build_attn_mask(16, 16, m, 2)
+        nw = len(mask.slots)
+        qkv = Tensor(rng.normal(size=(nw, m * m, 3 * heads * d)), requires_grad=True)
+        bias = Tensor(0.1 * rng.normal(size=(heads, m * m, m * m)), requires_grad=True)
+        out = window_attention(qkv, bias, mask)
+        shapes = [a.shape for a in self.captured(out._node.rule)]
+        assert (nw, heads, m * m, m * m) not in shapes
+
+    def test_mlp_rule_keeps_no_activation(self, rng):
+        args = [Tensor(rng.normal(size=s), requires_grad=True)
+                for s in [(10, 6), (6, 12), (12,), (12, 6), (6,)]]
+        hidden = linear(*args[:3]).data
+        act = gelu(Tensor(hidden)).data
+        kept = self.captured(mlp(*args)._node.rule)
+        assert any(np.array_equal(a, hidden) for a in kept)
+        assert not any(np.array_equal(a, act) for a in kept)
+
     def test_taped_step_memory(self, rng):
         # a taped 1 x 32^2 step of the lightweight x2 model peaks at 94 MB;
         # a tape whose nodes kept their outputs until backward reached them
@@ -718,6 +787,16 @@ class TestBackward:
         with traced_peak() as peak:
             l1_loss(forward(params, lq), hq).backward()
             assert peak() < 110 * 2**20
+
+    def test_taped_step_recomputes_scores(self, rng):
+        # the same step peaks at 54 MB when backward rebuilds the attention
+        # scores E and GELU(h); a tape that kept them would peak at 94 MB
+        params = init_params(lightweight_sr_config(2, 1), seed=0)
+        lq = Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32))
+        hq = Tensor(rng.uniform(size=(1, 1, 64, 64)).astype(np.float32))
+        with traced_peak() as peak:
+            l1_loss(forward(params, lq), hq).backward()
+            assert peak() < 70 * 2**20
 
     def test_two_step_loop_holds_one_tape(self, rng):
         # as train() runs it: pred and loss stay bound until the next
