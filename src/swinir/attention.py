@@ -87,18 +87,15 @@ class StlParams:
     shift: int
 
 
-def fold_norm(norm: Optional[Norm], w: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
+def fold_norm(norm: Norm, w: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
     """Weights of (x_hat gamma + beta) W + b as a product of x_hat, the
     normalized rows: W' = diag(gamma) W and b' = beta W + b, built with tape
-    ops, so gradients reach gamma and beta. ``norm`` None leaves W and b."""
-    if norm is None:
-        return w, b
+    ops, so gradients reach gamma and beta."""
     gamma, beta = norm
     return mul(reshape(gamma, gamma.shape[0], 1), w), linear(beta, w, b)
 
 
-def attn_weights(params: WindowAttentionParams,
-                 norm: Optional[Norm] = None) -> AttnWeights:
+def attn_weights(params: WindowAttentionParams, norm: Norm) -> AttnWeights:
     """(W, b, B) of ``window_msa``: the C x 3C QKV weight and its bias,
     concatenated from wq, wk and wv with 1/sqrt(d) folded into wq and bq
     and ``norm`` folded in as well (``fold_norm``), and the relative
@@ -117,27 +114,25 @@ def attn_weights(params: WindowAttentionParams,
 
 
 def window_msa(x: Tensor, params: WindowAttentionParams,
-               mask: Optional[AttnMask] = None,
-               weights: Optional[AttnWeights] = None) -> Tensor:
+               mask: Optional[AttnMask], weights: AttnWeights) -> Tensor:
     """Biased multi-head attention over window-ordered rows [..., C], m^2
-    consecutive rows per window ([nW, m^2, C] or any leading shape).
+    consecutive rows per window ([nW, m^2, C] or any leading shape), with
+    ``mask`` None on an unshifted layer.
 
     Q, K and V come from one C x 3C product. ``weights`` is its weight,
     its bias and the gathered position bias, ``attn_weights(params,
-    norm)``, which a layer builds once for all of its chunks; None builds
-    them from ``params`` alone."""
-    w, b, bias = attn_weights(params) if weights is None else weights
+    norm)``, which a layer builds once for all of its chunks."""
+    w, b, bias = weights
     out = window_attention(linear(x, w, b), bias, mask)
     return linear(out, params.proj_w, params.proj_b)
 
 
-def mlp_forward(x: Tensor, params: MlpParams,
-                fc1: Optional[Tuple[Tensor, Tensor]] = None) -> Tensor:
+def mlp_forward(x: Tensor, params: MlpParams, fc1: Tuple[Tensor, Tensor]) -> Tensor:
     """fc2(GELU(fc1(x))), one ``tensor.mlp`` op: the tape keeps x and fc1's
     output, and backward rebuilds GELU from them. ``fc1`` is fc1's weight
     and bias with a norm folded in (``fold_norm``), built once per layer;
-    None takes them from ``params``."""
-    w, b = (params.fc1_w, params.fc1_b) if fc1 is None else fc1
+    fc2 comes from ``params``."""
+    w, b = fc1
     return mlp(x, w, b, params.fc2_w, params.fc2_b)
 
 

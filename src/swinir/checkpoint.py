@@ -67,6 +67,15 @@ def _config_ints(cfg: SwinIRConfig) -> list[int]:
 
 
 def _config_from_ints(vals: list[int]) -> SwinIRConfig:
+    """The config of a config block. An enum index outside its range, or a
+    boolean other than 0 or 1, is refused rather than wrapped or coerced:
+    every file that loads must save back to its own bytes."""
+    for field, limit in (("task", len(TASKS)), ("head_style", len(HEAD_STYLES)),
+                         ("rstb_residual", 2)):
+        value = vals[_CONFIG_FIELDS.index(field)]
+        if not 0 <= value < limit:
+            raise CheckpointError(f"invalid config block: {field} {value} "
+                                  f"is not in 0..{limit - 1}")
     try:
         return SwinIRConfig(
             task=TASKS[vals[0]], scale=vals[1], in_channels=vals[2],
@@ -74,7 +83,7 @@ def _config_from_ints(vals: list[int]) -> SwinIRConfig:
             stl_per_rstb=vals[6], window=vals[7], heads=vals[8],
             mlp_ratio=vals[9] / MLP_RATIO_STEPS, head_style=HEAD_STYLES[vals[10]],
             head_channels=vals[11], rstb_residual=bool(vals[12])).validate()
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"invalid config block: {exc}") from None
 
 

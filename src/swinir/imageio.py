@@ -93,9 +93,15 @@ def _read_header(fh, path: str) -> tuple[int, int, int]:
     if magic not in (b"P5", b"P6"):
         raise ImageFormatError(f"{path}: unsupported magic {magic!r}")
     try:
-        width, height, maxval = (int(t) for t in _header_tokens(fh, 3))
-    except (ValueError, ImageFormatError) as exc:
+        tokens = _header_tokens(fh, 3)
+    except ImageFormatError as exc:
         raise ImageFormatError(f"{path}: malformed header ({exc})") from None
+    # ASCII digits only: int() would also take a sign or underscores
+    bad = [t for t in tokens if not t.isdigit()]
+    if bad:
+        raise ImageFormatError(f"{path}: malformed header (not a decimal "
+                               f"number: {bad[0]!r})")
+    width, height, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise ImageFormatError(f"{path}: unsupported maxval {maxval} (need 255)")
     if width < 1 or height < 1:

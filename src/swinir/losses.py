@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .tensor import Tensor, abs_, mean, sqrt
 
-DEFAULT_CHARBONNIER_EPS = 1e-3
+CHARBONNIER_EPS = 1e-3
 
 
 def _check_shapes(pred: Tensor, target: Tensor) -> None:
@@ -23,14 +23,12 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return mean(abs_(pred - target))
 
 
-def charbonnier_loss(pred: Tensor, target: Tensor,
-                     eps: float = DEFAULT_CHARBONNIER_EPS) -> Tensor:
-    """sqrt(diff^2 + eps^2), averaged per element."""
+def charbonnier_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """sqrt(diff^2 + eps^2) with eps = ``CHARBONNIER_EPS``, averaged per
+    element."""
     _check_shapes(pred, target)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     diff = pred - target
-    return mean(sqrt(diff * diff + eps * eps))
+    return mean(sqrt(diff * diff + CHARBONNIER_EPS * CHARBONNIER_EPS))
 
 
 def loss_for_task(task: str) -> str:
@@ -39,7 +37,7 @@ def loss_for_task(task: str) -> str:
 
 
 def compute_loss(kind: str, pred: Tensor, target: Tensor) -> Tensor:
-    """The loss ``kind``, "l1" or "charbonnier" (at the default eps)."""
+    """The loss ``kind``, "l1" or "charbonnier"."""
     if kind == "l1":
         return l1_loss(pred, target)
     if kind == "charbonnier":

@@ -7,7 +7,6 @@ all sides, and SR evaluation runs on the luma channel of color images.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 import numpy as np
 
@@ -20,20 +19,10 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 DYNAMIC_RANGE = 255.0
 
-ImageLike = Union[ImageBuffer, np.ndarray]
 
-
-def _as255(img: ImageLike) -> np.ndarray:
+def _as255(img: ImageBuffer) -> np.ndarray:
     """[H, W, C] float64 on the 0..255 scale after 8-bit quantization."""
-    if isinstance(img, ImageBuffer):
-        arr = img.data
-    else:
-        arr = np.asarray(img)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.dtype == np.uint8:
-        return arr.astype(np.float64)
-    return quantize_u8(arr).astype(np.float64)
+    return quantize_u8(img.data).astype(np.float64)
 
 
 def _crop(arr: np.ndarray, border: int) -> np.ndarray:
@@ -44,7 +33,7 @@ def _crop(arr: np.ndarray, border: int) -> np.ndarray:
     return arr[border:-border, border:-border]
 
 
-def psnr(pred: ImageLike, target: ImageLike, border: int = 0) -> float:
+def psnr(pred: ImageBuffer, target: ImageBuffer, border: int = 0) -> float:
     """10 log10(255^2 / MSE) in dB; identical images give +inf."""
     a = _crop(_as255(pred), border)
     b = _crop(_as255(target), border)
@@ -56,10 +45,10 @@ def psnr(pred: ImageLike, target: ImageLike, border: int = 0) -> float:
     return 10.0 * math.log10(DYNAMIC_RANGE * DYNAMIC_RANGE / mse)
 
 
-def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    x = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-0.5 * (x / sigma) ** 2)
+def _gaussian_kernel() -> np.ndarray:
+    half = (SSIM_WINDOW - 1) / 2.0
+    x = np.arange(SSIM_WINDOW, dtype=np.float64) - half
+    g = np.exp(-0.5 * (x / SSIM_SIGMA) ** 2)
     k = np.outer(g, g)
     return k / k.sum()
 
@@ -73,7 +62,7 @@ def _filter2_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,kl->ij", windows, kernel)
 
 
-def ssim(pred: ImageLike, target: ImageLike, border: int = 0) -> float:
+def ssim(pred: ImageBuffer, target: ImageBuffer, border: int = 0) -> float:
     """Mean local SSIM in [-1, 1] over the cropped region.
 
     Gaussian 11x11 window (sigma 1.5), K1=0.01, K2=0.03, dynamic range

@@ -78,9 +78,12 @@ class SwinIRConfig:
         if round(self.mlp_ratio * MLP_RATIO_STEPS) / MLP_RATIO_STEPS != self.mlp_ratio:
             raise ValueError(f"mlp_ratio {self.mlp_ratio} is not a whole number of "
                              f"1/{MLP_RATIO_STEPS}ths, which is how checkpoints store it")
-        if min(self.rstb_count, self.stl_per_rstb, self.window, self.in_channels,
-               self.out_channels, self.head_channels) < 0:
+        if min(self.rstb_count, self.stl_per_rstb, self.window, self.head_channels) < 0:
             raise ValueError("negative structural field")
+        if min(self.in_channels, self.out_channels) < 1:
+            raise ValueError("an image has at least one channel")
+        if self.task == "sr" and self.head_style == "staged" and self.head_channels < 1:
+            raise ValueError("the staged head needs at least one channel")
         if self.rstb_count * self.stl_per_rstb and self.window < 1:
             raise ValueError(f"window {self.window} must be >= 1 in a model with layers")
         if self.window > MAX_WINDOW:
@@ -278,7 +281,7 @@ def build_params(cfg: SwinIRConfig, rng: Optional[SplitMix64],
 
 
 def shallow_extract(x: Tensor, params: ModelParams) -> Tensor:
-    return conv2d(x, params.shallow.w, params.shallow.b, padding=1)
+    return conv2d(x, params.shallow.w, params.shallow.b)
 
 
 def rstb_forward(x: Tensor, block: RstbParams, window: int,
@@ -301,7 +304,7 @@ def rstb_forward(x: Tensor, block: RstbParams, window: int,
     t = reshape(reorder(t, grid, order, None), n, hp, wp, c)
     t = crop_to(t, h, w)
     t = permute(t, 0, 3, 1, 2)
-    t = conv2d(t, block.conv.w, block.conv.b, padding=1)
+    t = conv2d(t, block.conv.w, block.conv.b)
     return t + x if residual else t
 
 
@@ -310,7 +313,7 @@ def deep_extract(f0: Tensor, params: ModelParams) -> Tensor:
     f = f0
     for block in params.rstbs:
         f = rstb_forward(f, block, cfg.window, residual=cfg.rstb_residual)
-    return conv2d(f, params.trunk.w, params.trunk.b, padding=1)
+    return conv2d(f, params.trunk.w, params.trunk.b)
 
 
 def reconstruct_sr(f0: Tensor, fdf: Tensor, params: ModelParams) -> Tensor:
@@ -318,20 +321,20 @@ def reconstruct_sr(f0: Tensor, fdf: Tensor, params: ModelParams) -> Tensor:
     y = f0 + fdf
     if cfg.head_style == "direct":
         up = params.head["up"]
-        return pixel_shuffle(conv2d(y, up.w, up.b, padding=1), cfg.scale)
+        return pixel_shuffle(conv2d(y, up.w, up.b), cfg.scale)
     pre = params.head["pre"]
-    y = gelu(conv2d(y, pre.w, pre.b, padding=1))
+    y = gelu(conv2d(y, pre.w, pre.b))
     for k, s in enumerate(cfg.upsample_stages):
         up = params.head[f"up{k}"]
-        y = pixel_shuffle(conv2d(y, up.w, up.b, padding=1), s)
+        y = pixel_shuffle(conv2d(y, up.w, up.b), s)
     final = params.head["final"]
-    return conv2d(y, final.w, final.b, padding=1)
+    return conv2d(y, final.w, final.b)
 
 
 def reconstruct_residual(x: Tensor, f0: Tensor, fdf: Tensor,
                          params: ModelParams) -> Tensor:
     head = params.head["conv"]
-    return conv2d(f0 + fdf, head.w, head.b, padding=1) + x
+    return conv2d(f0 + fdf, head.w, head.b) + x
 
 
 def forward(params: ModelParams, x: Tensor) -> Tensor:

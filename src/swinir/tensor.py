@@ -7,9 +7,13 @@ records a tape node; ``Tensor.backward()`` on a scalar loss walks
 the recorded graph once in reverse topological order, accumulates
 gradients additively into ``.grad`` and frees the graph as it goes.
 
-The operator set is exactly what the restoration model needs; this is not
-a general autodiff system (no control-flow capture, no higher-order
-gradients).
+The operator set is exactly what the restoration model needs, in the one
+form it calls each op; this is not a general autodiff system (no
+control-flow capture, no higher-order gradients). Ops take tensors (only
+``add`` and ``mul`` also take a number or an array as their second
+operand), every product and every convolution is biased, every
+convolution is a "same" one with an odd square kernel, and the reductions
+(``sum_``, ``mean``) are over the whole tensor, as the losses take them.
 
 The tape is a graph of ``_Node``s apart from the tensors: a taped output
 links to its node, and a node to its inputs' nodes (a leaf tensor that
@@ -226,8 +230,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
@@ -336,49 +338,24 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(_wrap(other, self.dtype), -1.0))
 
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, pow_(other, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __pow__(self, exponent):
         return pow_(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def reshape(self, *shape):
-        return reshape(self, *shape)
 
-    def permute(self, *axes):
-        return permute(self, *axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-
-def _wrap(x, dtype=None) -> Tensor:
+def _wrap(x, dtype) -> Tensor:
+    """The second operand of ``add`` or ``mul`` as a tensor: a number or an
+    array takes the dtype of the tensor it meets."""
     if isinstance(x, Tensor):
         return x
-    arr = np.asarray(x, dtype=dtype if dtype in _FLOAT_DTYPES else np.float32)
-    return Tensor(arr)
+    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -407,7 +384,6 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor], rule) -> Tensor:
 # -- elementwise and structural ops -------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
-    a = _wrap(a)
     b = _wrap(b, a.dtype)
     sa, sb = a.shape, b.shape
     return _make(a.data + b.data, (a, b),
@@ -415,7 +391,6 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a = _wrap(a)
     if isinstance(b, (int, float)):
         scale = float(b)
         return _make(a.data * np.asarray(scale, dtype=a.dtype), (a,),
@@ -428,37 +403,28 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def pow_(a: Tensor, exponent: float) -> Tensor:
-    a = _wrap(a)
     p = float(exponent)
     ad = a.data
     return _make(ad**p, (a,), lambda g: (g * p * ad ** (p - 1.0),))
 
 
 def sqrt(a: Tensor) -> Tensor:
-    a = _wrap(a)
     out_data = np.sqrt(a.data)
     return _make(out_data, (a,), lambda g: (g * (0.5 / out_data),))
 
 
 def abs_(a: Tensor) -> Tensor:
-    a = _wrap(a)
     ad = a.data
     return _make(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
-    a = _wrap(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     sa = a.shape
     return _make(np.ascontiguousarray(a.data.reshape(shape)), (a,),
                  lambda g: (g.reshape(sa),))
 
 
 def permute(a: Tensor, *axes) -> Tensor:
-    a = _wrap(a)
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
     inverse = np.argsort(axes)
     return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,),
                  lambda g: (g.transpose(inverse),))
@@ -467,7 +433,6 @@ def permute(a: Tensor, *axes) -> Tensor:
 def getitem(a: Tensor, idx) -> Tensor:
     """Basic (slice/int) indexing. Backward scatters into a zero buffer, so
     the index must not repeat elements; use ``take`` for gather semantics."""
-    a = _wrap(a)
     sa, dtype = a.shape, a.dtype
 
     def rule(g):
@@ -478,9 +443,8 @@ def getitem(a: Tensor, idx) -> Tensor:
     return _make(np.ascontiguousarray(a.data[idx]), (a,), rule)
 
 
-def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
+def take(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     """Gather along one axis with a 1-d integer index; repeats allowed."""
-    a = _wrap(a)
     idx = np.asarray(indices)
     sa, dtype = a.shape, a.dtype
 
@@ -498,55 +462,36 @@ def gather_rows(a: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
     ``index`` is a permutation of range(L) and ``inverse`` its inverse, so
     backward is the inverse gather: every row moves once, and nothing is
     summed or scattered."""
-    a = _wrap(a)
     return _make(np.take(a.data, index, axis=1), (a,),
                  lambda g: (np.take(g, inverse, axis=1),))
 
 
 def roll(a: Tensor, shifts: Tuple[int, ...], axes: Tuple[int, ...]) -> Tensor:
-    a = _wrap(a)
     back = tuple(-s for s in shifts)
     return _make(np.roll(a.data, shifts, axis=axes), (a,),
                  lambda g: (np.roll(g, back, axis=axes),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     ends = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors,
                  lambda g: np.split(g, ends, axis=axis))
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    axes = axis if axis is None else (axis if isinstance(axis, tuple) else (axis,))
+def sum_(a: Tensor) -> Tensor:
+    """The sum of every element, a scalar: the losses' one reduction."""
     sa = a.shape
-
-    def rule(g):
-        if axes is not None and not keepdims:
-            for ax in sorted(ax % len(sa) for ax in axes):
-                g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, sa).copy(),)
-
-    return _make(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)), (a,), rule)
+    return _make(np.asarray(a.data.sum()), (a,),
+                 lambda g: (np.broadcast_to(g, sa).copy(),))
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def mean(a: Tensor) -> Tensor:
+    """The mean of every element, a scalar."""
+    return mul(sum_(a), 1.0 / a.size)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product contracting the trailing pair of dimensions."""
-    a = _wrap(a)
-    b = _wrap(b)
     ad, bd = a.data, b.data
     return _make(np.matmul(ad, bd), (a, b), lambda g: (
         _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape),
@@ -570,11 +515,10 @@ def _add_bias(out: np.ndarray, b: np.ndarray) -> None:
     out[full:] += b
 
 
-def _affine(x2: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
-    """x2[rows, Din] @ w[Din, Dout] (+ b[Dout]) into a new array."""
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x2[rows, Din] @ w[Din, Dout] + b[Dout] into a new array."""
     out = x2 @ w
-    if b is not None:
-        _add_bias(out, b)
+    _add_bias(out, b)
     return out
 
 
@@ -586,21 +530,19 @@ def _rows(x: Tensor, weight: Tensor) -> np.ndarray:
     return x.data.reshape(-1, din)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """x[..., Din] @ weight[Din, Dout] (+ bias[Dout])."""
-    x = _wrap(x)
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x[..., Din] @ weight[Din, Dout] + bias[Dout]; every product of the
+    model is biased."""
     x2 = _rows(x, weight)
-    sx, wd, biased = x.shape, weight.data, bias is not None
+    sx, wd = x.shape, weight.data
     dout = wd.shape[1]
-    out = _affine(x2, wd, bias.data if biased else None)
+    out = _affine(x2, wd, bias.data)
 
     def rule(g):
         g2 = g.reshape(-1, dout)
-        grads = (g2 @ wd.T).reshape(sx), x2.T @ g2
-        return grads + (g2.sum(axis=0),) if biased else grads
+        return (g2 @ wd.T).reshape(sx), x2.T @ g2, g2.sum(axis=0)
 
-    inputs = (x, weight, bias) if biased else (x, weight)
-    return _make(out.reshape(*sx[:-1], dout), inputs, rule)
+    return _make(out.reshape(*sx[:-1], dout), (x, weight, bias), rule)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray,
@@ -671,57 +613,55 @@ def _zero_pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0) -> Tensor:
-    """2-d cross-correlation, stride 1, zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """2-d biased "same" cross-correlation, stride 1: the model's convs.
 
-    x: [N, Cin, H, W]; weight: [Cout, Cin, k, k]; output [N, Cout, H', W']
-    with H' = H + 2*padding - k + 1. Both directions run ``_correlate``: dx
-    correlates g, padded by k - 1 - padding (cropped where that is
-    negative), with the kernel flipped in both spatial axes and Cin, Cout
-    swapped (Dumoulin & Visin, arXiv 1603.07285). dW is one batched GEMM
-    per tap: g on the padded input's Wp-stride grid, zero in the junk
-    columns, times the tap's slice of it. The tape keeps the padded input.
+    x: [N, Cin, H, W]; weight: [Cout, Cin, k, k] with k odd; output
+    [N, Cout, H, W], the input padded by k // 2 zeros on every side. An
+    even or non-square kernel raises ValueError. Both directions run
+    ``_correlate``: dx correlates g, padded by k // 2 as well, with the
+    kernel flipped in both spatial axes and Cin, Cout swapped (Dumoulin &
+    Visin, arXiv 1603.07285). dW is one batched GEMM per tap: g on the
+    padded input's Wp-stride grid, zero in the junk columns, times the
+    tap's slice of it. The tape keeps the padded input.
     """
-    x = _wrap(x)
     n, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
+    cout, cin_w, k, kw = weight.shape
     if cin != cin_w:
         raise ValueError(f"conv2d: input has {cin} channels, weight expects {cin_w}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    hout, wout = hp - kh + 1, wp - kw + 1
-    if hout <= 0 or wout <= 0:
-        raise ValueError(f"conv2d: non-positive output size {hout}x{wout}")
+    if k != kw or k % 2 == 0:
+        raise ValueError(f"conv2d: kernel {k}x{kw} is not square and odd")
+    pad = k // 2
+    wp = w + 2 * pad
 
-    xp = _zero_pad(x.data, padding, padding)
-    wd, needs_dx, biased = weight.data, x.requires_grad, bias is not None
-    out = _correlate(xp, wd, bias.data if biased else None)
+    xp = _zero_pad(x.data, pad, pad)
+    wd, needs_dx = weight.data, x.requires_grad
+    out = _correlate(xp, wd, bias.data)
 
     def rule(g):
         gx = None
         if needs_dx:
-            qh, qw = kh - 1 - padding, kw - 1 - padding      # < 0: crop g
-            gp = _zero_pad(g[:, :, max(-qh, 0):hout + min(qh, 0), max(-qw, 0):wout + min(qw, 0)],
-                           max(qh, 0), max(qw, 0))
-            gx = _correlate(gp, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        span = (hout - 1) * wp + wout
-        ggrid = np.zeros((n, cout, hout * wp), dtype=g.dtype)
-        ggrid.reshape(n, cout, hout, wp)[:, :, :, :wout] = g
-        flat = xp.reshape(n, cin, hp * wp)
-        dw = np.empty((cout, cin, kh, kw), dtype=g.dtype)
-        for i, j in np.ndindex(kh, kw):
+            gx = _correlate(_zero_pad(g, pad, pad), wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        span = (h - 1) * wp + w
+        ggrid = np.zeros((n, cout, h * wp), dtype=g.dtype)
+        ggrid.reshape(n, cout, h, wp)[:, :, :, :w] = g
+        flat = xp.reshape(n, cin, -1)
+        dw = np.empty((cout, cin, k, k), dtype=g.dtype)
+        for i, j in np.ndindex(k, k):
             tap = flat[:, :, i * wp + j:i * wp + j + span].transpose(0, 2, 1)
             dw[:, :, i, j] = np.matmul(ggrid[:, :, :span], tap).sum(axis=0)
-        return (gx, dw, g.sum(axis=(0, 2, 3))) if biased else (gx, dw)
+        return gx, dw, g.sum(axis=(0, 2, 3))
 
-    return _make(out, (x, weight, bias) if biased else (x, weight), rule)
+    return _make(out, (x, weight, bias), rule)
 
 
-def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
-               eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor]) -> Tensor:
     """Normalize the last dimension to zero mean / unit variance, then scale
     by ``gamma`` and shift by ``beta`` unless they are None. Population
-    (biased) variance.
+    (biased) variance, plus ``_LN_EPS``.
 
     The model passes None: its γ and β enter the product that follows
     (``attention.fold_norm``), so the kernel makes no pass for them; a
@@ -735,7 +675,6 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
     its row sums changed with the number of rows, so a row's output would
     depend on how the layer is chunked. The normalized rows are the output,
     and backward reads them."""
-    x = _wrap(x)
     c = x.shape[-1]
     if c == 0:
         raise ValueError("layer_norm: empty normalization axis")
@@ -743,7 +682,7 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor],
     h = x2 - np.einsum("ij,j->i", x2, np.full(c, 1.0 / c, dtype=x2.dtype))[:, None]
     inv = np.einsum("ij,ij->i", h, h)[:, None]
     inv *= 1.0 / c
-    inv += eps
+    inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     h *= inv
@@ -850,7 +789,6 @@ def gelu(x: Tensor) -> Tensor:
     GELU and its derivative stay within 1e-6 of their float64 values on
     [-10, 10]. float64 keeps scipy's erf, so gradient checks keep float64
     accuracy."""
-    x = _wrap(x)
     xd = x.data
     return _make(_gelu(xd), (x,), lambda g: (g * _gelu_grad(xd),))
 
@@ -864,7 +802,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     derivative Phi(h) + h phi(h) (``_gelu_grad``) for dh. That is one
     multiply more than the separate ops' backward, which evaluated Phi
     for the derivative anyway."""
-    x = _wrap(x)
     x2 = _rows(x, w1)
     sx, w1d, w2d = x.shape, w1.data, w2.data
     h = _affine(x2, w1d, b1.data)
@@ -884,7 +821,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax over the trailing dimension."""
-    x = _wrap(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -911,7 +847,7 @@ def _skips_max(qkv: np.ndarray, bias: np.ndarray, d: int) -> bool:
     return d * a * a + max(float(bias.max()), -float(bias.min())) < _EXP_SAFE
 
 
-def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
+def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
     """Fused multi-head attention core over windows of m^2 rows.
 
     ``qkv`` is [..., 3C], window-ordered rows ([nW, m^2, 3C] or any
@@ -963,7 +899,6 @@ def window_attention(qkv: Tensor, bias: Tensor, mask=None) -> Tensor:
     E (V gs^T - rowsum(out * gs)); dQ = dS^T K, dK = dS Q and dB = dS
     summed over windows.
     """
-    qkv = _wrap(qkv)
     heads, mm = bias.shape[0], bias.shape[-1]
     c3 = qkv.shape[-1]
     if qkv.size % (mm * c3):
@@ -1030,8 +965,6 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
     Element (n, c*r*r + a*r + b, i, j) lands at (n, c, i*r + a, j*r + b).
     """
-    if r == 1:
-        return x
     n, crr, h, w = x.shape
     if crr % (r * r) != 0:
         raise ValueError(f"pixel_shuffle: {crr} channels not divisible by r^2={r * r}")
@@ -1043,8 +976,6 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """Exact inverse of ``pixel_shuffle``."""
-    if r == 1:
-        return x
     n, c, hr, wr = x.shape
     if hr % r or wr % r:
         raise ValueError(f"pixel_unshuffle: spatial size {hr}x{wr} not divisible by {r}")

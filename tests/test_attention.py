@@ -8,13 +8,26 @@ from conftest import (assert_all_equal, check_gradients, dense_attention_oracle,
 from swinir import attention
 from swinir import tensor as T
 from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
-                              mlp_forward, relative_position_index,
+                              attn_weights, mlp_forward, relative_position_index,
                               stl_forward, window_msa)
 from swinir.model import init_params, lightweight_sr_config
 from swinir.tensor import (Tensor, gelu, layer_norm, no_grad, sum_,
                            window_attention)
 from swinir.windows import (WindowGrid, build_attn_mask, cyclic_shift,
                             pad_to_multiple, window_partition)
+
+
+def msa(x, params, mask=None):
+    """``window_msa`` with its weights from ``attn_weights`` under a unit
+    norm (gain 1, shift 0), which folds into the products unchanged."""
+    c, dtype = params.wq.shape[0], params.wq.dtype
+    unit = (Tensor(np.ones(c, dtype=dtype)), Tensor(np.zeros(c, dtype=dtype)))
+    return window_msa(x, params, mask, attn_weights(params, unit))
+
+
+def mlp_of(x, params):
+    """``mlp_forward`` with fc1 taken from ``params`` as it stands."""
+    return mlp_forward(x, params, (params.fc1_w, params.fc1_b))
 
 
 class TestRelativePositionIndex:
@@ -68,7 +81,7 @@ class TestWindowMsa:
         params.wv = Tensor(np.eye(c, dtype=np.float32))
         params.proj_w = Tensor(np.eye(c, dtype=np.float32))
         x = rng.uniform(size=(3, m * m, c)).astype(np.float32)
-        out = window_msa(Tensor(x), params)
+        out = msa(Tensor(x), params)
         expected = np.repeat(x.mean(axis=1, keepdims=True), m * m, axis=1)
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
@@ -86,7 +99,7 @@ class TestWindowMsa:
         # with V = identity and x one-hot per token, attention weights are
         # readable from the output columns
         x = np.eye(m * m, c, dtype=np.float32)[None]
-        out = window_msa(Tensor(x), params).data[0]
+        out = msa(Tensor(x), params).data[0]
         pairs = np.argwhere(idx == target)
         assert len(pairs) > 0
         for i, j in pairs:
@@ -97,7 +110,7 @@ class TestWindowMsa:
         c, heads, m = 8, 2, 3
         params = make_attn_params(c, heads, m, rng=rng)
         x = rng.normal(size=(1, m * m, c)).astype(np.float32)
-        got = window_msa(Tensor(x), params).data
+        got = msa(Tensor(x), params).data
         np.testing.assert_allclose(got, dense_attention_oracle(x, params), atol=1e-5)
 
     def test_matches_dense_oracle_many_windows(self, rng):
@@ -109,9 +122,9 @@ class TestWindowMsa:
         mask = build_attn_mask(6, 6, m, 1)
         assert 0 < (mask.slots >= 0).sum() < len(mask.slots)
         xm = rng.normal(size=(2 * len(mask.slots), m * m, c)).astype(np.float32)
-        got = window_msa(Tensor(x), params).data
+        got = msa(Tensor(x), params).data
         np.testing.assert_allclose(got, dense_attention_oracle(x, params), atol=1e-5)
-        got_masked = window_msa(Tensor(xm), params, mask).data
+        got_masked = msa(Tensor(xm), params, mask).data
         np.testing.assert_allclose(
             got_masked, dense_attention_oracle(xm, params, dense_shift_mask(6, 6, m, 1)),
             atol=1e-5)
@@ -122,8 +135,8 @@ class TestWindowMsa:
         params.bias_table = Tensor(np.zeros(((2 * m - 1) ** 2, 2), dtype=np.float32))
         x = rng.normal(size=(1, m * m, c)).astype(np.float32)
         perm = rng.permutation(m * m)
-        out = window_msa(Tensor(x), params).data
-        out_perm = window_msa(Tensor(x[:, perm]), params).data
+        out = msa(Tensor(x), params).data
+        out_perm = msa(Tensor(x[:, perm]), params).data
         np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-6)
 
     def test_bias_gather_shifts_logit_by_exact_value(self, rng):
@@ -134,14 +147,14 @@ class TestWindowMsa:
         params.wv = Tensor(np.eye(c, dtype=np.float32))
         params.proj_w = Tensor(np.eye(c, dtype=np.float32))
         x = np.eye(m * m, c, dtype=np.float32)[None].repeat(3, axis=0)
-        base = window_msa(Tensor(x), params).data
+        base = msa(Tensor(x), params).data
 
         idx = params.rel_index
         i, j = 0, 3
         table = np.zeros(((2 * m - 1) ** 2, heads), dtype=np.float32)
         table[idx[i, j]] = float(np.log(2.0))
         params.bias_table = Tensor(table)
-        bumped = window_msa(Tensor(x), params).data
+        bumped = msa(Tensor(x), params).data
         # with zero logits, weight(i->j) goes from 1/4 to 2/5 in every window
         off_diag = [(i, jj) for jj in range(4) if idx[i, jj] != idx[i, j]]
         for w in range(3):
@@ -169,7 +182,7 @@ class TestWindowMsa:
                 rel_index=relative_position_index(m), heads=heads)
             padded, _ = pad_to_multiple(xx, m)
             wins = window_partition(cyclic_shift(padded, s), m)
-            return sum_(window_msa(wins, params, mask) ** 2.0)
+            return sum_(msa(wins, params, mask) ** 2.0)
 
         check_gradients(fn, arrays)
 
@@ -191,7 +204,7 @@ class TestWindowMsa:
         params = make_attn_params(4, 2, 2, rng=rng)
         params.heads = 3
         with pytest.raises(ValueError, match="heads"):
-            window_msa(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), params)
+            msa(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), params)
 
 
 class TestLogitBound:
@@ -246,7 +259,7 @@ class TestLogitBound:
                 for name in ("wq", "bq", "wk", "bk", "wv", "bv",
                              "proj_w", "proj_b", "bias_table")})
             for mk, omk in ((None, None), (mask, oracle_mask)):
-                out = window_msa(Tensor(x.astype(dtype)), typed, mk).data
+                out = msa(Tensor(x.astype(dtype)), typed, mk).data
                 assert np.isfinite(out).all()
                 # float32 rounding of logits near +-200 reorders near
                 # ties, so only float64 is held to the oracle there
@@ -279,7 +292,7 @@ class TestLogitBound:
         qkv = np.full((1, 4, 3), 7.6, dtype=np.float32)
         qkv[..., 2] = 1e13
         taken = self.record_paths(monkeypatch)
-        out = window_attention(Tensor(qkv), Tensor(np.zeros((1, 4, 4), np.float32)))
+        out = window_attention(Tensor(qkv), Tensor(np.zeros((1, 4, 4), np.float32)), None)
         np.testing.assert_array_equal(out.data, np.float32(1e13))
         assert taken == [False]
 
@@ -287,7 +300,7 @@ class TestLogitBound:
         # Q = K = 1.5 over d = 16 channels: every logit is 36, above 30
         qkv = np.full((1, 4, 48), 1.5, dtype=np.float32)
         taken = self.record_paths(monkeypatch)
-        out = window_attention(Tensor(qkv), Tensor(np.zeros((1, 4, 4), np.float32)))
+        out = window_attention(Tensor(qkv), Tensor(np.zeros((1, 4, 4), np.float32)), None)
         np.testing.assert_array_equal(out.data, 1.5)
         assert taken == [False]
 
@@ -305,7 +318,7 @@ class TestMlp:
     def test_all_zero(self):
         p = MlpParams(fc1_w=Tensor(np.zeros((3, 5))), fc1_b=Tensor(np.zeros(5)),
                       fc2_w=Tensor(np.zeros((5, 3))), fc2_b=Tensor(np.zeros(3)))
-        out = mlp_forward(Tensor(np.ones((2, 3))), p)
+        out = mlp_of(Tensor(np.ones((2, 3))), p)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_identity_weights_collapse_to_gelu(self, rng):
@@ -313,7 +326,7 @@ class TestMlp:
         p = MlpParams(fc1_w=Tensor(np.eye(c)), fc1_b=Tensor(np.zeros(c)),
                       fc2_w=Tensor(np.eye(c)), fc2_b=Tensor(np.zeros(c)))
         x = rng.normal(size=(3, c))
-        out = mlp_forward(Tensor(x), p)
+        out = mlp_of(Tensor(x), p)
         np.testing.assert_allclose(out.data, gelu(Tensor(x)).data, atol=1e-7)
 
     def test_gradients(self, rng):
@@ -323,7 +336,7 @@ class TestMlp:
 
         def fn(xx, w1, b1, w2, b2):
             p = MlpParams(fc1_w=w1, fc1_b=b1, fc2_w=w2, fc2_b=b2)
-            return sum_(mlp_forward(xx, p) ** 2.0)
+            return sum_(mlp_of(xx, p) ** 2.0)
 
         check_gradients(fn, arrays)
 
@@ -409,8 +422,8 @@ class TestStl:
         x = Tensor(rng.uniform(size=(2, 64, c)).astype(np.float32))
         got = stl_forward(x, stl, grid).data
         mask = build_attn_mask(8, 8, m, 2)
-        h = x + window_msa(layer_norm(x, stl.norm1_gamma, stl.norm1_beta), stl.attn, mask)
-        want = h + mlp_forward(layer_norm(h, stl.norm2_gamma, stl.norm2_beta), stl.mlp)
+        h = x + msa(layer_norm(x, stl.norm1_gamma, stl.norm1_beta), stl.attn, mask)
+        want = h + mlp_of(layer_norm(h, stl.norm2_gamma, stl.norm2_beta), stl.mlp)
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-5)
 

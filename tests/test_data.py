@@ -85,6 +85,18 @@ class TestNetpbm:
                 read(path)
             assert path in str(exc.value)
 
+    @pytest.mark.parametrize("header, payload", [
+        (b"P5\n2 1_0\n255\n", 20), (b"P5\n+2 2\n255\n", 4),
+        (b"P5\n2 2\n2_55\n", 4)], ids=["underscore", "sign", "maxval"])
+    def test_non_decimal_header_token_refused(self, tmp_path, header, payload):
+        # int() reads each of these; "1_0" would load a 10x2 image
+        path = str(tmp_path / "t.pgm")
+        with open(path, "wb") as fh:
+            fh.write(header + bytes(payload))
+        for read in (load_image, read_image_shape):
+            with pytest.raises(ImageFormatError, match="not a decimal number"):
+                read(path)
+
     def test_read_image_shape(self, tmp_path):
         path = str(tmp_path / "t.ppm")
         save_image(ImageBuffer(np.zeros((3, 5, 3), np.float32), color="rgb"), path)

@@ -115,7 +115,7 @@ def image_order_rstb(x, block, window):
         wins = stl_forward(wins, stl, grid)
         t = unshift(window_reverse(wins, window, grid.height, grid.width), stl.shift)
     t = permute(crop_to(t, h, w), 0, 3, 1, 2)
-    return conv2d(t, block.conv.w, block.conv.b, padding=1) + x
+    return conv2d(t, block.conv.w, block.conv.b) + x
 
 
 class TestWindowOrder:
@@ -153,7 +153,7 @@ class TestDeepExtract:
         params = init_params(cfg, seed=0)
         x = Tensor(rng.uniform(size=(1, 8, 6, 6)).astype(np.float32))
         from swinir.tensor import conv2d
-        expected = conv2d(x, params.trunk.w, params.trunk.b, padding=1)
+        expected = conv2d(x, params.trunk.w, params.trunk.b)
         np.testing.assert_array_equal(deep_extract(x, params).data, expected.data)
 
     def test_zero_trailing_conv_zeroes_output(self, rng):
@@ -447,10 +447,13 @@ class TestAccounting:
 
     def test_unbuildable_sizes_rejected(self):
         # a checkpoint's config block can hold any of these; none may
-        # reach the allocation of a tensor with a negative dimension
+        # reach the allocation of a tensor with a negative dimension, nor
+        # an initializer's fan-in of zero
         for bad in (dict(mlp_ratio=-0.5), dict(mlp_ratio=float("inf")),
                     dict(mlp_ratio=float("nan")),
-                    dict(head_style="staged", head_channels=-1)):
+                    dict(head_style="staged", head_channels=-1),
+                    dict(head_style="staged", head_channels=0),
+                    dict(in_channels=0), dict(out_channels=0)):
             with pytest.raises(ValueError):
                 SwinIRConfig(**bad).validate()
 
@@ -549,6 +552,29 @@ class TestCheckpoint:
         blob = body[:cut] + struct.pack("<I", zlib.crc32(body[:cut]))
         with pytest.raises(CheckpointError):
             deserialize(blob)
+
+    @pytest.mark.parametrize("field, value", [("task", -3), ("head_style", 2),
+                                              ("rstb_residual", 5),
+                                              ("rstb_residual", -1)])
+    def test_enum_or_boolean_out_of_range_refused(self, field, value):
+        # task -3 would wrap to sr and rstb_residual 5 read as True: each
+        # file would load as one that saves to other bytes
+        body = bytearray(serialize(init_params(tiny_config(task="sr", scale=2), seed=0))[:-4])
+        struct.pack_into("<i", body, 8 + 4 * _CONFIG_FIELDS.index(field), value)
+        with pytest.raises(CheckpointError, match=f"{field} {value} is not in"):
+            deserialize(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_config_block_that_loads_saves_to_its_own_bytes(self, data):
+        params = init_params(tiny_config(task="sr", scale=2), seed=0)
+        body = bytearray(serialize(params, data.draw(st.sampled_from(
+            [None, TrainState.fresh(params, 0)])))[:-4])
+        field = data.draw(st.sampled_from(_CONFIG_FIELDS), label="field")
+        value = data.draw(st.integers(-4, 4) | st.integers(-2 ** 31, 2 ** 31 - 1),
+                          label="value")
+        struct.pack_into("<i", body, 8 + 4 * _CONFIG_FIELDS.index(field), value)
+        _loads_as_itself_or_refuses(bytes(body) + struct.pack("<I", zlib.crc32(body)))
 
     def test_bogus_record_count_refused(self):
         body = bytearray(serialize(init_params(tiny_config(), seed=0))[:-4])
@@ -712,10 +738,7 @@ class TestCheckpoint:
         keep = data.draw(st.integers(0, len(valid) - 4), label="keep")
         body = valid[:keep] + data.draw(st.binary(max_size=300), label="tail")
         blob = data.draw(st.sampled_from([body, body + struct.pack("<I", zlib.crc32(body))]))
-        try:
-            deserialize(blob)
-        except CheckpointError:
-            pass
+        _loads_as_itself_or_refuses(blob)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -783,10 +806,17 @@ def _header_fields(params: ModelParams, state) -> dict:
     return fields
 
 
+def _loads_as_itself_or_refuses(blob: bytes) -> None:
+    """``blob`` either raises CheckpointError or loads as a file that saves
+    back to ``blob``: no two files load alike."""
+    try:
+        params, fields = deserialize(blob)
+    except CheckpointError:
+        return
+    assert serialize(params, None if fields is None else TrainState(**fields)) == blob
+
+
 def _flip_loads_or_refuses(body: bytearray, bit: int) -> None:
     flipped = bytearray(body)
     flipped[bit // 8] ^= 1 << (bit % 8)
-    try:
-        deserialize(bytes(flipped) + struct.pack("<I", zlib.crc32(flipped)))
-    except CheckpointError:
-        pass
+    _loads_as_itself_or_refuses(bytes(flipped) + struct.pack("<I", zlib.crc32(flipped)))
