@@ -168,7 +168,7 @@ def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
     once per call and shared by every chunk. Every step acts on rows or on
     single windows, so inside ``no_grad`` the layer runs as chunks of
     ``_CHUNK_ROWS // m^2`` whole windows over ``tensor.parallel_for``, each
-    chunk with its own slice of the mask and temporaries that the
+    chunk with the mask placed at its first window and temporaries that the
     allocator reuses. LayerNorm, GELU and the attention core each make
     their passes once over a whole chunk, so a chunk makes a few dozen
     numpy calls and hands the GIL over about as often, and the chunk is
@@ -193,8 +193,7 @@ def stl_forward(x: Tensor, params: StlParams, grid: WindowGrid) -> Tensor:
 
     def chunk(lo):
         hi = min(lo + step, nw)
-        part = None if mask is None else mask._replace(
-            slots=mask.slots[np.arange(lo, hi) % len(mask.slots)])
+        part = None if mask is None else mask._replace(first=lo)
         out[lo * mm:hi * mm] = _layer(Tensor(rows[lo * mm:hi * mm]), params,
                                       weights, part).data
 

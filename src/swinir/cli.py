@@ -222,6 +222,8 @@ def _load_images(path: str) -> list[tuple[str, ImageBuffer]]:
     """(path, image) of every image a directory, manifest or file names."""
     if os.path.isfile(path) and not path.lower().endswith((".pgm", ".ppm")):
         names = _read(read_manifest, path)
+        if not names:
+            raise CliError(f"{path}: the manifest names no image", EXIT_DATA)
     else:
         names = _gather_inputs(path)
     return [(p, _read(load_image, p)) for p in names]

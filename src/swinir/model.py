@@ -30,6 +30,7 @@ TASKS = ("sr", "denoise", "car")
 HEAD_STYLES = ("staged", "direct")
 # checkpoints store mlp_ratio as a whole number of these steps
 MLP_RATIO_STEPS = 1000
+INT32 = 2 ** 31     # checkpoints store each integer field as an int32
 # largest window side: a model builds a window^4 relative-position index
 # (4 MB at 32, 400 MB at 100) before a loader can check a file's records;
 # the paper's configurations use 7 and 8
@@ -59,6 +60,9 @@ class SwinIRConfig:
     rstb_residual: bool = True   # block-level residual; off reproduces the ablation
 
     def validate(self) -> "SwinIRConfig":
+        for key, value in vars(self).items():
+            if isinstance(value, int) and not -INT32 <= value < INT32:
+                raise ValueError(f"{key} {value} does not fit a checkpoint's int32")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.head_style not in HEAD_STYLES:
@@ -73,8 +77,9 @@ class SwinIRConfig:
             raise ValueError("channel count must be positive")
         if self.heads <= 0 or self.channels % self.heads:
             raise ValueError(f"{self.heads} heads do not divide {self.channels} channels")
-        if not 0 <= self.mlp_ratio < math.inf:
-            raise ValueError(f"mlp_ratio {self.mlp_ratio} is not finite and >= 0")
+        if not 0 <= self.mlp_ratio * MLP_RATIO_STEPS < INT32:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} is not finite, >= 0 and below "
+                             f"{INT32 / MLP_RATIO_STEPS:g}, a checkpoint's int32 bound")
         if round(self.mlp_ratio * MLP_RATIO_STEPS) / MLP_RATIO_STEPS != self.mlp_ratio:
             raise ValueError(f"mlp_ratio {self.mlp_ratio} is not a whole number of "
                              f"1/{MLP_RATIO_STEPS}ths, which is how checkpoints store it")

@@ -855,15 +855,16 @@ def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
     (already scaled by 1/sqrt(d)), K and V side by side, each split into
     heads by contiguous channel chunks; ``bias`` is [heads, key, query];
     ``mask`` is None or a ``windows.AttnMask``, -inf only on boundary
-    windows, whose slots repeat over the batch. Returns softmax(Q K^T + B +
-    mask) V with heads concatenated, [..., C].
+    windows, whose ``first`` places the call's windows in the batch's
+    window order. Returns softmax(Q K^T + B + mask) V with heads
+    concatenated, [..., C].
 
     Each step runs once over all the windows given, taped or not. The
     scores, [windows, heads, key, query], take heads * m^2 floats per row;
     a transformer layer passes one chunk of at most 2,048 rows
     (``attention._CHUNK_ROWS``), 3 MB of float32 scores at 6 heads and
     window 8, and that chunk is the only bound on them. Bias and the
-    mask's -inf entries (one indexed add over the boundary windows) update
+    mask (``AttnMask.add_to``, strided slices of the boundary windows) update
     the score buffer in place, which exp turns into E. E is never
     normalized: its column sums come from one product, ones[1, key] @ E,
     and the output is scaled by their reciprocals r.
@@ -906,8 +907,6 @@ def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
     nw = qkv.size // (mm * c3)
     c = c3 // 3
     d = c // heads
-    if mask is not None and nw % len(mask.slots):
-        raise ValueError(f"{nw} windows not a multiple of {len(mask.slots)} mask windows")
     qd, dtype = qkv.data, qkv.dtype
     # [3, nW, heads, tokens, d] strided views; BLAS reads them in place
     q, k, v = qd.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
@@ -916,10 +915,6 @@ def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
         return buf.reshape(nw, mm, heads, d).transpose(0, 2, 1, 3)
 
     bd, skip = bias.data, _skips_max(qd, bias.data, d)
-    if mask is not None:
-        slots = mask.slots[np.arange(nw) % len(mask.slots)]
-        edge = np.flatnonzero(slots >= 0)
-        pattern = slots[edge]
 
     def scores(shift=None):
         """(E, shift): exp(K Q^T + B + mask - shift). The forward passes
@@ -927,7 +922,7 @@ def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
         e = np.matmul(k, q.swapaxes(-1, -2))
         e += bd
         if mask is not None:
-            e[edge] += mask.blocks[pattern]
+            mask.add_to(e)
         if shift is None and not skip:
             shift = e.max(axis=-2, keepdims=True)
         if shift is not None:

@@ -8,7 +8,7 @@ block the tokens stay rows of [N, H*W, C] in the window order of the
 current layer's shift, and ``reorder`` moves them to the next layer's
 order with one row gather. ``cyclic_shift``, ``window_partition``,
 ``window_reverse`` and ``unshift`` spell out the same order on
-[N, H, W, C] images.
+[N, H, W, C] images. ``AttnMask`` alone knows which windows a shift masks.
 """
 from __future__ import annotations
 
@@ -34,16 +34,8 @@ class WindowGrid:
                 f"grid {self.height}x{self.width} not a multiple of window {self.window}")
 
     @property
-    def windows_per_col(self) -> int:
-        return self.height // self.window
-
-    @property
-    def windows_per_row(self) -> int:
-        return self.width // self.window
-
-    @property
     def num_windows(self) -> int:
-        return self.windows_per_col * self.windows_per_row
+        return (self.height // self.window) * (self.width // self.window)
 
 
 def _reflect_indices(n: int, pad: int) -> np.ndarray:
@@ -158,41 +150,44 @@ def reorder(x: Tensor, grid: WindowGrid, src: Optional[int],
 
 
 class AttnMask(NamedTuple):
-    """Shifted-window mask in the form the attention core adds it.
+    """Shifted-window mask, which the attention core adds with ``add_to``.
 
     Only the last row and the last column of windows straddle a pre-shift
-    region boundary. ``blocks``, read-only [3, 1, m^2, m^2] float32 (the 1
-    broadcasts over heads), holds -inf for token pairs from different
-    regions and 0 elsewhere, so masked pairs get weight exactly 0; its
-    patterns cut a window's rows (0, the last window row), its columns
-    (1, the last window column) or both (2, the corner), each at local
-    index m - s. Every pattern is symmetric. ``slots``, read-only [nW],
-    gives each row-major window its pattern, or -1 if it is unmasked."""
-    slots: np.ndarray
-    blocks: np.ndarray
+    region boundary. ``row`` and ``col``, read-only [1, m^2, m^2] float32
+    (the 1 broadcasts over heads), hold -inf for token pairs that a cut at
+    local row (``row``) or column (``col``) m - s separates and 0
+    elsewhere, so masked pairs get weight exactly 0; both are symmetric.
+    The corner window gets both. ``per_row`` and ``per_image`` count the
+    grid's windows, and ``first`` is the row-major index, over the batch,
+    of the first window that a call passes."""
+    row: np.ndarray
+    col: np.ndarray
+    per_row: int
+    per_image: int
+    first: int = 0
+
+    def add_to(self, e: np.ndarray) -> None:
+        """Add the mask in place to scores [windows, heads, m^2, m^2] of
+        windows ``first``, ``first`` + 1, ... by basic slices, no copy."""
+        r, p, lo = self.per_row, self.per_image, self.first
+        e[(r - 1 - lo) % r::r] += self.col
+        # an image's last window row starts at local index top, < 0 if lo is in it
+        for top in range(p - r - lo % p, len(e), p):
+            e[max(top, 0):top + r] += self.row
 
 
 @lru_cache(maxsize=64)
 def build_attn_mask(h: int, w: int, m: int, s: int) -> AttnMask:
     """Mask for a pass of m x m windows over an h x w grid shifted by s.
 
-    Shift 0 masks nothing: every slot is -1. Cached.
+    Shift 0 masks nothing: both blocks are 0. Cached.
     """
     if s not in (0, m // 2):
         raise ValueError(f"shift must be 0 or {m // 2}, got {s}")
     grid = WindowGrid(h, w, m)
     late = np.arange(m) >= m - s            # local rows/cols of the last band
-    rows, cols = np.repeat(late, m), np.tile(late, m)
-    row_cut = rows[:, None] != rows[None, :]
-    col_cut = cols[:, None] != cols[None, :]
-    cuts = np.stack([row_cut, col_cut, row_cut | col_cut])[:, None]
-    blocks = np.where(cuts, np.float32(-np.inf), np.float32(0.0))
-    slots = np.full((grid.windows_per_col, grid.windows_per_row), -1, dtype=np.int64)
-    if s:
-        slots[-1, :] = 0
-        slots[:, -1] = 1
-        slots[-1, -1] = 2
-    slots = slots.reshape(-1)
-    for part in (slots, blocks):
-        part.setflags(write=False)
-    return AttnMask(slots, blocks)
+    blocks = [np.where(band[:, None] != band, np.float32(-np.inf), np.float32(0.0))[None]
+              for band in (np.repeat(late, m), np.tile(late, m))]
+    for block in blocks:
+        block.setflags(write=False)
+    return AttnMask(*blocks, w // m, grid.num_windows)

@@ -120,8 +120,8 @@ class TestWindowMsa:
         # shifted pass on a batch of two 6x6 images: 9 mask windows, of
         # which only the last row and column are masked, repeated per image
         mask = build_attn_mask(6, 6, m, 1)
-        assert 0 < (mask.slots >= 0).sum() < len(mask.slots)
-        xm = rng.normal(size=(2 * len(mask.slots), m * m, c)).astype(np.float32)
+        assert mask.per_image == 9
+        xm = rng.normal(size=(2 * mask.per_image, m * m, c)).astype(np.float32)
         got = msa(Tensor(x), params).data
         np.testing.assert_allclose(got, dense_attention_oracle(x, params), atol=1e-5)
         got_masked = msa(Tensor(xm), params, mask).data
@@ -242,7 +242,7 @@ class TestLogitBound:
         c, heads, m = 6, 3, 2
         params = make_attn_params(c, heads, m, rng=rng)
         mask, oracle_mask = self.diagonal_only_mask(m)
-        x = rng.normal(size=(2 * len(mask.slots), m * m, c))
+        x = rng.normal(size=(2 * mask.per_image, m * m, c))
         if big_qk:
             params.wq, params.wk = (Tensor(6.0 * rng.normal(size=(c, c))) for _ in range(2))
         if big_bias:
@@ -272,7 +272,7 @@ class TestLogitBound:
     def test_gradcheck_float64(self, rng, monkeypatch, big_qk, big_bias):
         heads, d, m = 2, 2, 2
         mask, _ = self.diagonal_only_mask(m)
-        qkv = rng.uniform(-1.0, 1.0, size=(2 * len(mask.slots), m * m, 3 * heads * d))
+        qkv = rng.uniform(-1.0, 1.0, size=(2 * mask.per_image, m * m, 3 * heads * d))
         bias = 0.1 * rng.normal(size=(heads, m * m, m * m))
         if big_qk:
             qkv[..., :2 * heads * d] *= 10.0
@@ -449,7 +449,7 @@ class TestStl:
         # shifted layer on a batch of two 6x6 images at window 2: 18
         # windows, 9 mask windows per image. Chunks of 4 windows (16 rows)
         # give 5 chunks, one straddling the two images, so each chunk's
-        # mask slots start mid-mask. fc2 is zero, so the layer is
+        # mask starts mid-image. fc2 is zero, so the layer is
         # x + attention(LayerNorm(x)), which the dense oracle gives
         c, heads, m = 6, 3, 2
         stl = make_stl(c, heads, m, shift=1, rng=rng)

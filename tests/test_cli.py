@@ -168,6 +168,30 @@ class TestParsing:
         assert f"bad value for {key}" in err and "finite" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("overrides", [
+        dict(mlp_ratio="1e308"),
+        dict(head_channels=3000000000),
+        dict(rstb_count=0, stl_per_rstb=3000000000),
+        dict(channels=2, mlp_ratio=2200000)])
+    def test_value_a_checkpoint_cannot_store_usage_error(self, tmp_path, command,
+                                                         overrides, capsys):
+        # the config block is int32; each of these trained until the first
+        # save, or failed in validate, with a traceback and exit 1. The
+        # last key set is the one out of range
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        write_images(tmp_path / "data", n=1)
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg)]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "data"), "--out", str(out),
+                     "--iterations", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{list(overrides)[-1]} " in err and "checkpoint" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lr", [math.nan, math.inf])
     def test_train_config_refuses_non_finite_lr(self, lr):
         with pytest.raises(ValueError, match="finite"):
@@ -399,6 +423,22 @@ class TestUnreadableImages:
                    "--out", str(tmp_path / "run")])
         assert rc == 3
         assert "missing.pgm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--data", "--val"])
+    def test_manifest_naming_no_image(self, tmp_path, flag, capsys):
+        # an empty --data manifest exited 2 naming no file, and an empty
+        # --val manifest trained, logged psnr nan and exited 0
+        write_images(tmp_path / "images", n=2)
+        manifest = tmp_path / "list.txt"
+        manifest.write_text("# nothing listed\n\n")
+        sources = {"--data": str(tmp_path / "images"), "--val": str(tmp_path / "images")}
+        sources[flag] = str(manifest)
+        cfg = write_config(tmp_path / "c.cfg")
+        rc = main(["train", "--config", str(cfg), "--data", sources["--data"],
+                   "--val", sources["--val"], "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "list.txt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_manifest_not_utf8(self, tmp_path, capsys):
         manifest = tmp_path / "list.txt"

@@ -88,10 +88,13 @@ class TestCyclicShift:
         np.testing.assert_array_equal(back.data, x)
 
 
-def expand(mask):
-    """The mask as the attention core adds it, one [m^2, m^2] per window."""
-    per_window = mask.blocks[mask.slots, 0]
-    return np.where(mask.slots[:, None, None] >= 0, per_window, np.float32(0.0))
+def expand(mask, count=None):
+    """The mask as the attention core adds it to ``count`` windows from
+    ``mask.first`` (one image's by default), [count, m^2, m^2]."""
+    mm = mask.row.shape[-1]
+    e = np.zeros((count or mask.per_image, 1, mm, mm), dtype=np.float32)
+    mask.add_to(e)
+    return e[:, 0]
 
 
 class TestReorder:
@@ -125,59 +128,95 @@ class TestReorder:
 class TestAttnMask:
     def test_zero_shift_all_zero(self):
         mask = build_attn_mask(8, 8, 4, 0)
-        np.testing.assert_array_equal(mask.slots, [-1, -1, -1, -1])
+        assert not mask.row.any() and not mask.col.any()
         assert not expand(mask).any()
 
     def test_tiny_window_mixes_four_regions(self):
+        # one window, both last row and last column: it takes both cuts
         mask = build_attn_mask(2, 2, 2, 1)
-        np.testing.assert_array_equal(mask.slots, [2])
-        np.testing.assert_array_equal(mask.blocks[2, 0] == 0, np.eye(4))
+        assert (mask.per_row, mask.per_image) == (1, 1)
+        np.testing.assert_array_equal(expand(mask)[0] == 0, np.eye(4))
+        np.testing.assert_array_equal(expand(mask), dense_shift_mask(2, 2, 2, 1))
 
     def test_interior_window_unmasked(self):
         mask = build_attn_mask(8, 8, 4, 2)
+        assert (mask.per_row, mask.per_image) == (2, 4)
+        got = expand(mask)
+        np.testing.assert_array_equal(got, dense_shift_mask(8, 8, 4, 2))
         # window 0 covers rows/cols [0,4): a single pre-shift region; then
         # the last column, the last row and the corner
-        np.testing.assert_array_equal(mask.slots, [-1, 1, 0, 2])
-        assert not expand(mask)[0].any()
+        assert not got[0].any()
+        np.testing.assert_array_equal(got[1], mask.col[0])
+        np.testing.assert_array_equal(got[2], mask.row[0])
         # the corner window mixes all four region pairs
-        assert len(np.unique(mask.blocks[2, 0] == 0, axis=0)) == 4
+        assert len(np.unique(got[3] == 0, axis=0)) == 4
 
     def test_symmetric_relation(self):
         mask = build_attn_mask(8, 8, 4, 2)
-        np.testing.assert_array_equal(mask.blocks, np.swapaxes(mask.blocks, -1, -2))
+        for block in (mask.row, mask.col):
+            np.testing.assert_array_equal(block, np.swapaxes(block, -1, -2))
 
     def test_read_only(self):
         mask = build_attn_mask(8, 8, 4, 2)
-        for part in mask:
+        for block in (mask.row, mask.col):
             with pytest.raises(ValueError):
-                part[0] = 0
+                block[0] = 0
 
     def test_invalid_shift(self):
         with pytest.raises(ValueError):
             build_attn_mask(8, 8, 4, 1)
 
+    GEOMETRIES = [(hh * m, ww * m, m) for m in range(2, 10)
+                  for hh in range(1, 6) for ww in range(1, 5)]
+
     def test_matches_dense_region_mask(self):
-        geometries = [(hh * m, ww * m, m) for m in range(2, 10)
-                      for hh in range(1, 6) for ww in range(1, 5)]
-        for h, w, m in geometries + [(70, 70, 7), (128, 128, 8)]:
+        for h, w, m in self.GEOMETRIES + [(70, 70, 7), (128, 128, 8)]:
             for s in (0, m // 2):
                 np.testing.assert_array_equal(expand(build_attn_mask(h, w, m, s)),
                                               dense_shift_mask(h, w, m, s),
                                               err_msg=f"{h}x{w} m={m} s={s}")
 
+    def test_chunks_match_dense_region_mask(self):
+        # a batch of three images; chunks start at every window (mid-row
+        # and mid-image) and run one window, past the row's end, or across
+        # into the next image
+        for h, w, m in self.GEOMETRIES:
+            mask = build_attn_mask(h, w, m, m // 2)
+            dense = np.tile(dense_shift_mask(h, w, m, m // 2), (3, 1, 1))
+            nw = mask.per_image
+            for lo in range(2 * nw):
+                for size in {1, mask.per_row + 1, nw + 1}:
+                    hi = min(lo + size, len(dense))
+                    np.testing.assert_array_equal(
+                        expand(mask._replace(first=lo), hi - lo), dense[lo:hi],
+                        err_msg=f"{h}x{w} m={m} windows {lo}:{hi}")
+
     def test_memory_does_not_grow_with_image(self):
-        # 4096 windows at 512^2: the mask is one slot per window plus
-        # three 64x64 blocks, not a [4096, 64, 64] array (64 MB)
+        # 4096 windows at 512^2: the mask is two 64x64 blocks, not a
+        # [4096, 64, 64] array (64 MB)
         with traced_peak() as peak:
-            build_attn_mask.__wrapped__(512, 512, 8, 4)
+            mask = build_attn_mask.__wrapped__(512, 512, 8, 4)
             assert peak() < 1 << 20
+        assert mask.row.shape == mask.col.shape == (1, 64, 64)
+
+    def test_add_copies_no_scores(self):
+        # the last untaped chunk of a lightweight 128^2 layer: windows
+        # 224-255 of the 16x16 grid, 6 heads; 17 of them are masked
+        # (3.1 MB of scores, 1.6 MB of them on the masked windows)
+        mask = build_attn_mask(128, 128, 8, 4)._replace(first=224)
+        e = np.zeros((32, 6, 64, 64), dtype=np.float32)
+        with traced_peak() as peak:
+            mask.add_to(e)
+            assert peak() <= 0.25 * (1 << 20)
+        np.testing.assert_array_equal(
+            e[:, 0], dense_shift_mask(128, 128, 8, 4)[224:])
 
     def test_masked_pairs_get_zero_weight(self, rng):
         # V = I per window makes the output the attention weights
         # [query, key]; heads 1 with zero bias
         h, w, m = 4, 4, 2
         mask = build_attn_mask(h, w, m, 1)
-        nw, mm = len(mask.slots), m * m
+        nw, mm = mask.per_image, m * m
         qkv = np.concatenate([rng.normal(size=(nw, mm, 2 * mm)),
                               np.broadcast_to(np.eye(mm), (nw, mm, mm))], axis=-1)
         weights = window_attention(Tensor(qkv.astype(np.float32)),
