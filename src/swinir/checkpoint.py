@@ -4,10 +4,10 @@ Layout, all integers little-endian:
 
     magic           4 bytes  "SWIR"
     version         u32      1: parameters only; 2: with resume state
-    config block    13 x i32 (see _CONFIG_FIELDS; mlp_ratio stored as
-                             ratio * 1000, which validate() requires to be
-                             whole, enums as indices,
-                             booleans as 0/1)
+    config block    i32 per SwinIRConfig field, in field order (13):
+                             SwinIRConfig.to_ints, which stores enums and
+                             the boolean as indices and mlp_ratio in
+                             thousandths
     param count     u32      number of parameter records
     per parameter:
         name length u16, then UTF-8 name
@@ -37,54 +37,24 @@ import os
 import struct
 import sys
 import zlib
+from dataclasses import fields
 from typing import BinaryIO, Optional, Tuple
 
 import numpy as np
 
 from .imageio import atomic_path
-from .model import (HEAD_STYLES, MLP_RATIO_STEPS, TASKS, ModelParams,
-                    SwinIRConfig, build_params, param_count)
+from .model import ModelParams, SwinIRConfig, build_params, param_count
 
 MAGIC = b"SWIR"
 VERSION = 1           # parameters only
 STATE_VERSION = 2     # parameters plus resume state
 
-_CONFIG_FIELDS = ("task", "scale", "in_channels", "out_channels", "channels",
-                  "rstb_count", "stl_per_rstb", "window", "heads",
-                  "mlp_ratio", "head_style", "head_channels", "rstb_residual")
+# version, config block, parameter count
+_HEADER = f"<I{len(fields(SwinIRConfig))}iI"
 
 
 class CheckpointError(Exception):
     """Unreadable, corrupt, or inconsistent checkpoint file."""
-
-
-def _config_ints(cfg: SwinIRConfig) -> list[int]:
-    return [TASKS.index(cfg.task), cfg.scale, cfg.in_channels,
-            cfg.out_channels, cfg.channels, cfg.rstb_count, cfg.stl_per_rstb,
-            cfg.window, cfg.heads, round(cfg.mlp_ratio * MLP_RATIO_STEPS),
-            HEAD_STYLES.index(cfg.head_style), cfg.head_channels,
-            int(cfg.rstb_residual)]
-
-
-def _config_from_ints(vals: list[int]) -> SwinIRConfig:
-    """The config of a config block. An enum index outside its range, or a
-    boolean other than 0 or 1, is refused rather than wrapped or coerced:
-    every file that loads must save back to its own bytes."""
-    for field, limit in (("task", len(TASKS)), ("head_style", len(HEAD_STYLES)),
-                         ("rstb_residual", 2)):
-        value = vals[_CONFIG_FIELDS.index(field)]
-        if not 0 <= value < limit:
-            raise CheckpointError(f"invalid config block: {field} {value} "
-                                  f"is not in 0..{limit - 1}")
-    try:
-        return SwinIRConfig(
-            task=TASKS[vals[0]], scale=vals[1], in_channels=vals[2],
-            out_channels=vals[3], channels=vals[4], rstb_count=vals[5],
-            stl_per_rstb=vals[6], window=vals[7], heads=vals[8],
-            mlp_ratio=vals[9] / MLP_RATIO_STEPS, head_style=HEAD_STYLES[vals[10]],
-            head_channels=vals[11], rstb_residual=bool(vals[12])).validate()
-    except ValueError as exc:
-        raise CheckpointError(f"invalid config block: {exc}") from None
 
 
 def _write(fh: BinaryIO, params: ModelParams, state=None) -> None:
@@ -98,8 +68,7 @@ def _write(fh: BinaryIO, params: ModelParams, state=None) -> None:
         fh.write(part)
 
     version = VERSION if state is None else STATE_VERSION
-    put(MAGIC + struct.pack(f"<I{len(_CONFIG_FIELDS)}iI", version,
-                            *_config_ints(params.config), len(named)))
+    put(MAGIC + struct.pack(_HEADER, version, *params.config.to_ints(), len(named)))
     for name, tensor in named:
         raw = name.encode("utf-8")
         put(struct.pack(f"<H{len(raw)}sB{tensor.ndim}Q", len(raw), raw,
@@ -164,10 +133,13 @@ class _Body:
 
 
 def _parse(body: _Body) -> Tuple[ModelParams, Optional[dict]]:
-    version, *vals, count = body.unpack(f"<I{len(_CONFIG_FIELDS)}iI")
+    version, *ints, count = body.unpack(_HEADER)
     if version not in (VERSION, STATE_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    cfg = _config_from_ints(vals)
+    try:
+        cfg = SwinIRConfig.from_ints(ints)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid config block: {exc}") from None
     # refuse a config the file cannot hold before building anything its size
     copies = 1 if version == VERSION else 3      # parameters, Adam m and v
     if 4 * copies * param_count(cfg) > body.left:

@@ -100,10 +100,9 @@ def _check_memory(model_cfg: SwinIRConfig, train_cfg: TrainConfig) -> None:
         limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    r = model_cfg.scale if model_cfg.task == "sr" else 1
     params = 32 * param_count(model_cfg)
     batch = 4 * train_cfg.batch_size * train_cfg.patch_size ** 2 \
-        * (model_cfg.in_channels + r * r * model_cfg.out_channels)
+        * (model_cfg.in_channels + model_cfg.scale ** 2 * model_cfg.out_channels)
     if limit <= 0 or params + batch <= limit:
         return
     if params >= batch:
@@ -125,7 +124,7 @@ def build_configs(values: Dict[str, object]) -> tuple[SwinIRConfig, TrainConfig]
     model_kwargs = {k: v for k, v in values.items() if k in CONFIG_KEYS["model"]}
     train_kwargs = {k: v for k, v in values.items() if k in CONFIG_KEYS["training"]}
     try:
-        model_cfg = SwinIRConfig(**model_kwargs).validate()
+        model_cfg = SwinIRConfig(**model_kwargs)
         train_cfg = TrainConfig(**train_kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}", EXIT_USAGE)

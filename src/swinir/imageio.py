@@ -101,7 +101,11 @@ def _read_header(fh, path: str) -> tuple[int, int, int]:
     if bad:
         raise ImageFormatError(f"{path}: malformed header (not a decimal "
                                f"number: {bad[0]!r})")
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:      # more digits than int() converts
+        raise ImageFormatError(f"{path}: malformed header (a number of "
+                               f"{max(map(len, tokens))} digits)") from None
     if maxval != 255:
         raise ImageFormatError(f"{path}: unsupported maxval {maxval} (need 255)")
     if width < 1 or height < 1:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,18 +35,20 @@ INT32 = 2 ** 31     # checkpoints store each integer field as an int32
 # (4 MB at 32, 400 MB at 100) before a loader can check a file's records;
 # the paper's configurations use 7 and 8
 MAX_WINDOW = 32
+# the fields a checkpoint stores as an index into their choices
+_CHOICES = {"task": TASKS, "head_style": HEAD_STYLES, "rstb_residual": (False, True)}
 
 
 @dataclass(frozen=True)
 class SwinIRConfig:
-    """Architecture hyper-parameters.
+    """Architecture hyper-parameters, checked when built (``__post_init__``).
 
     ``mlp_ratio`` is calibrated so that parameter and mult-add counts of
     the reference configurations land on their published anchors; the MLP
     hidden width is round(mlp_ratio * channels).
     """
     task: str = "sr"
-    scale: int = 2
+    scale: int = 2               # output side over input side, 1 unless task is sr
     in_channels: int = 3
     out_channels: int = 3
     channels: int = 60
@@ -59,14 +61,15 @@ class SwinIRConfig:
     head_channels: int = 96      # pre-head width, staged head only
     rstb_residual: bool = True   # block-level residual; off reproduces the ablation
 
-    def validate(self) -> "SwinIRConfig":
+    def __post_init__(self):
+        """Raise ValueError naming the first field this config cannot
+        build, run or store with."""
         for key, value in vars(self).items():
             if isinstance(value, int) and not -INT32 <= value < INT32:
                 raise ValueError(f"{key} {value} does not fit a checkpoint's int32")
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.head_style not in HEAD_STYLES:
-            raise ValueError(f"unknown head style {self.head_style!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}")
         if self.task == "sr" and self.scale not in (2, 3, 4):
             raise ValueError(f"sr scale must be 2, 3 or 4, got {self.scale}")
         if self.task in ("denoise", "car") and self.scale != 1:
@@ -89,41 +92,70 @@ class SwinIRConfig:
             raise ValueError("an image has at least one channel")
         if self.task == "sr" and self.head_style == "staged" and self.head_channels < 1:
             raise ValueError("the staged head needs at least one channel")
-        if self.rstb_count * self.stl_per_rstb and self.window < 1:
-            raise ValueError(f"window {self.window} must be >= 1 in a model with layers")
+        if self.rstb_count * self.stl_per_rstb and self.mlp_hidden < 1:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} gives {self.channels} channels "
+                             f"no MLP hidden unit; a model with layers needs one")
+        if self.rstb_count and self.window < 1:
+            raise ValueError(f"window {self.window} must be >= 1 in a model with blocks")
         if self.window > MAX_WINDOW:
             raise ValueError(f"window {self.window} exceeds the maximum of {MAX_WINDOW}")
+
+    def validate(self) -> "SwinIRConfig":
+        """The config itself: it was checked when built."""
         return self
+
+    def to_ints(self) -> Tuple[int, ...]:
+        """A checkpoint's config block: one int32 per field, in field order;
+        enums and the boolean as indices into their choices, ``mlp_ratio``
+        as a whole number of 1/MLP_RATIO_STEPS."""
+        ints = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in _CHOICES:
+                v = _CHOICES[f.name].index(v)
+            elif f.name == "mlp_ratio":
+                v = round(v * MLP_RATIO_STEPS)
+            ints.append(v)
+        return tuple(ints)
+
+    @classmethod
+    def from_ints(cls, ints: Sequence[int]) -> "SwinIRConfig":
+        """The config whose ``to_ints`` is ``ints``, else ValueError: an index
+        outside its choices is refused, not wrapped, so no two blocks decode alike."""
+        kwargs = {}
+        for f, v in zip(fields(cls), ints, strict=True):
+            if (choices := _CHOICES.get(f.name)) is not None:
+                if not 0 <= v < len(choices):
+                    raise ValueError(f"{f.name} {v} is not in 0..{len(choices) - 1}")
+                v = choices[v]
+            elif f.name == "mlp_ratio":
+                v = v / MLP_RATIO_STEPS
+            kwargs[f.name] = v
+        return cls(**kwargs)
 
     @property
     def mlp_hidden(self) -> int:
         return int(round(self.mlp_ratio * self.channels))
-
-    @property
-    def upsample_stages(self) -> Tuple[int, ...]:
-        if self.task != "sr":
-            return ()
-        return (2, 2) if self.scale == 4 else (self.scale,)
 
 
 def classical_sr_config(scale: int = 4, channels_in: int = 3) -> SwinIRConfig:
     return SwinIRConfig(task="sr", scale=scale, in_channels=channels_in,
                         out_channels=channels_in, channels=180, rstb_count=6,
                         stl_per_rstb=6, window=8, heads=6,
-                        head_style="staged").validate()
+                        head_style="staged")
 
 
 def lightweight_sr_config(scale: int = 4, channels_in: int = 3) -> SwinIRConfig:
     return SwinIRConfig(task="sr", scale=scale, in_channels=channels_in,
                         out_channels=channels_in, channels=60, rstb_count=4,
                         stl_per_rstb=6, window=8, heads=6,
-                        head_style="direct").validate()
+                        head_style="direct")
 
 
 def denoise_config(channels_in: int = 1) -> SwinIRConfig:
     return SwinIRConfig(task="denoise", scale=1, in_channels=channels_in,
                         out_channels=channels_in, channels=180, rstb_count=6,
-                        stl_per_rstb=6, window=8, heads=6).validate()
+                        stl_per_rstb=6, window=8, heads=6)
 
 
 def car_config(channels_in: int = 1) -> SwinIRConfig:
@@ -131,7 +163,7 @@ def car_config(channels_in: int = 1) -> SwinIRConfig:
     # operates on 8x8 blocks
     return SwinIRConfig(task="car", scale=1, in_channels=channels_in,
                         out_channels=channels_in, channels=180, rstb_count=6,
-                        stl_per_rstb=6, window=7, heads=6).validate()
+                        stl_per_rstb=6, window=7, heads=6)
 
 
 def tiny_config(task: str = "denoise", scale: int = 1, channels_in: int = 1,
@@ -141,7 +173,7 @@ def tiny_config(task: str = "denoise", scale: int = 1, channels_in: int = 1,
     return SwinIRConfig(task=task, scale=scale, in_channels=channels_in,
                         out_channels=channels_in, channels=channels,
                         rstb_count=rstb_count, stl_per_rstb=stl_per_rstb,
-                        window=window, heads=heads).validate()
+                        window=window, heads=heads)
 
 
 # -- parameter containers ------------------------------------------------
@@ -200,18 +232,19 @@ class ModelParams:
             t.zero_grad()
 
 
-def _head_layout(cfg: SwinIRConfig) -> List[Tuple[str, int, int]]:
-    """(name, in_channels, out_channels) of every 3x3 head convolution."""
-    c, cout = cfg.channels, cfg.out_channels
+def _head_layout(cfg: SwinIRConfig) -> List[Tuple[str, int, int, int]]:
+    """(name, in_channels, out_channels, shuffle) of every 3x3 head conv, in
+    run order: ``shuffle`` is the factor of the pixel shuffle after the conv,
+    1 for none. GELU follows a staged head's ``pre``."""
+    c, cout, s = cfg.channels, cfg.out_channels, cfg.scale
     if cfg.task in ("denoise", "car"):
-        return [("conv", c, cout)]
+        return [("conv", c, cout, 1)]
     if cfg.head_style == "direct":
-        return [("up", c, cfg.scale * cfg.scale * cout)]
+        return [("up", c, s * s * cout, s)]
     cp = cfg.head_channels
-    layout = [("pre", c, cp)]
-    layout += [(f"up{k}", cp, s * s * cp) for k, s in enumerate(cfg.upsample_stages)]
-    layout.append(("final", cp, cout))
-    return layout
+    stages = (2, 2) if s == 4 else (s,)
+    return [("pre", c, cp, 1), *[(f"up{k}", cp, r * r * cp, r) for k, r in enumerate(stages)],
+            ("final", cp, cout, 1)]
 
 
 def init_params(cfg: SwinIRConfig, seed: int = 0,
@@ -223,7 +256,7 @@ def init_params(cfg: SwinIRConfig, seed: int = 0,
     every bias at zero. Build with dtype float64 to run the whole model
     in the gradient-check shadow mode.
     """
-    return build_params(cfg.validate(), SplitMix64(seed), dtype)
+    return build_params(cfg, SplitMix64(seed), dtype)
 
 
 def build_params(cfg: SwinIRConfig, rng: Optional[SplitMix64],
@@ -277,7 +310,7 @@ def build_params(cfg: SwinIRConfig, rng: Optional[SplitMix64],
                         conv=conv(c, c))
              for _ in range(cfg.rstb_count)]
     trunk = conv(c, c)
-    head = {name: conv(cin, cout) for name, cin, cout in _head_layout(cfg)}
+    head = {name: conv(cin, cout) for name, cin, cout, _ in _head_layout(cfg)}
     return ModelParams(config=cfg, shallow=shallow, rstbs=rstbs,
                        trunk=trunk, head=head)
 
@@ -322,18 +355,15 @@ def deep_extract(f0: Tensor, params: ModelParams) -> Tensor:
 
 
 def reconstruct_sr(f0: Tensor, fdf: Tensor, params: ModelParams) -> Tensor:
-    cfg = params.config
     y = f0 + fdf
-    if cfg.head_style == "direct":
-        up = params.head["up"]
-        return pixel_shuffle(conv2d(y, up.w, up.b), cfg.scale)
-    pre = params.head["pre"]
-    y = gelu(conv2d(y, pre.w, pre.b))
-    for k, s in enumerate(cfg.upsample_stages):
-        up = params.head[f"up{k}"]
-        y = pixel_shuffle(conv2d(y, up.w, up.b), s)
-    final = params.head["final"]
-    return conv2d(y, final.w, final.b)
+    for name, _, _, r in _head_layout(params.config):
+        conv = params.head[name]
+        y = conv2d(y, conv.w, conv.b)
+        if name == "pre":
+            y = gelu(y)
+        if r > 1:
+            y = pixel_shuffle(y, r)
+    return y
 
 
 def reconstruct_residual(x: Tensor, f0: Tensor, fdf: Tensor,
@@ -367,7 +397,6 @@ def forward(params: ModelParams, x: Tensor) -> Tensor:
 
 def param_count(cfg: SwinIRConfig) -> int:
     """Exact number of learnable scalars implied by the configuration."""
-    cfg.validate()
     c = cfg.channels
     hidden = cfg.mlp_hidden
     table = (2 * cfg.window - 1) ** 2 * cfg.heads
@@ -377,7 +406,7 @@ def param_count(cfg: SwinIRConfig) -> int:
     total = cfg.rstb_count * rstb
     total += 9 * cfg.in_channels * c + c            # shallow
     total += 9 * c * c + c                          # trunk
-    for _, cin, cout in _head_layout(cfg):
+    for _, cin, cout, _ in _head_layout(cfg):
         total += 9 * cin * cout + cout
     return total
 
@@ -388,12 +417,10 @@ def count_mult_adds(cfg: SwinIRConfig, out_height: int, out_width: int) -> int:
     attention products Q K^T and A V. Window passes run at the padded
     resolution, convolutions at the original one.
     """
-    cfg.validate()
     if out_height <= 0 or out_width <= 0:
         raise ValueError(f"non-positive output resolution {out_height}x{out_width}")
-    r = cfg.scale if cfg.task == "sr" else 1
-    in_h = -(-out_height // r)
-    in_w = -(-out_width // r)
+    in_h = -(-out_height // cfg.scale)
+    in_w = -(-out_width // cfg.scale)
     m = cfg.window
     pad_h = -(-in_h // m) * m
     pad_w = -(-in_w // m) * m
@@ -407,10 +434,8 @@ def count_mult_adds(cfg: SwinIRConfig, out_height: int, out_width: int) -> int:
     total += cfg.rstb_count * 9 * c * c * px         # per-block conv
     total += 9 * cfg.in_channels * c * px            # shallow
     total += 9 * c * c * px                          # trunk
-    # each head conv runs at the resolution the pixel shuffles before it
-    # have reached; a staged head shuffles after every up{k}
-    shuffle = {f"up{k}": s * s for k, s in enumerate(cfg.upsample_stages)}
-    for name, cin, cout in _head_layout(cfg):
+    # each head conv runs at the resolution its preceding shuffles reached
+    for _, cin, cout, r in _head_layout(cfg):
         total += 9 * cin * cout * px
-        px *= shuffle.get(name, 1)
+        px *= r * r
     return total

@@ -2,8 +2,11 @@ import ast
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +15,12 @@ import pytest
 import swinir.train as train_mod
 from conftest import package_env
 from swinir import cli
-from swinir.checkpoint import save_checkpoint
+from swinir.checkpoint import save_checkpoint, serialize
 from swinir.cli import main, parse_config_file
 from swinir.degrade import procedural_texture
 from swinir.imageio import ImageBuffer, load_image, save_image
 from swinir.model import SwinIRConfig, init_params, param_count, tiny_config
+from swinir.tensor import Tensor
 from swinir.train import TrainConfig
 
 
@@ -85,6 +89,25 @@ class TestParsing:
         rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
         assert rc == 2
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("overrides", [
+        dict(mlp_ratio=0), dict(channels=1, heads=1, mlp_ratio=0.5),
+        dict(stl_per_rstb=0, window=0)])
+    def test_config_that_cannot_run_usage_error(self, tmp_path, command, overrides,
+                                                capsys):
+        # each of these validated, then failed in the first forward with
+        # exit 2 and a message that named no key
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        write_images(tmp_path / "data", n=1)
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg)]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "data"), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {list(overrides)[-1]} " in err
+        assert not out.exists()
 
     def test_help_lists_exactly_the_accepted_keys(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -523,6 +546,34 @@ class TestInferEval:
                    "--out", str(tmp_path / "o.pgm")])
         assert rc == 3
         assert "checksum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", [dict(mlp_ratio=0),
+                                       dict(stl_per_rstb=0, window=0)])
+    def test_checkpoint_of_a_config_that_cannot_run_exit_3(self, tmp_path, patch,
+                                                           capsys):
+        # CRC-valid files whose records match their config: each loaded,
+        # then failed in the first forward with exit 2
+        params = init_params(tiny_config(), seed=0)
+        block = params.rstbs[0]
+        if "window" in patch:
+            block.stls = []
+        else:
+            mlp = block.stls[0].mlp
+            mlp.fc1_w, mlp.fc1_b, mlp.fc2_w = (Tensor(np.zeros(shape, np.float32))
+                                               for shape in ((8, 0), (0,), (0, 8)))
+        body = bytearray(serialize(params)[:-4])
+        names = [f.name for f in fields(SwinIRConfig)]
+        for key, value in patch.items():
+            struct.pack_into("<i", body, 8 + 4 * names.index(key), value)
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        [src] = write_images(tmp_path / "in", n=1, size=16)
+        rc = main(["infer", "--ckpt", str(ckpt), "--in", str(src),
+                   "--out", str(tmp_path / "o.pgm")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{ckpt}: invalid config block: {list(patch)[-1]} " in err
+        assert not (tmp_path / "o.pgm").exists()
 
     def test_eval_hq_against_itself(self, tmp_path, capsys):
         write_images(tmp_path / "hq", n=2, size=24)

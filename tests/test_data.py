@@ -97,6 +97,16 @@ class TestNetpbm:
             with pytest.raises(ImageFormatError, match="not a decimal number"):
                 read(path)
 
+    def test_header_number_past_int_digit_limit_refused(self, tmp_path):
+        # int() refuses more than 4,300 digits with its own ValueError
+        path = str(tmp_path / "t.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n" + b"1" * 5000 + b" 1\n255\n" + bytes(4))
+        for read in (load_image, read_image_shape):
+            with pytest.raises(ImageFormatError, match="5000 digits") as exc:
+                read(path)
+            assert path in str(exc.value)
+
     def test_read_image_shape(self, tmp_path):
         path = str(tmp_path / "t.ppm")
         save_image(ImageBuffer(np.zeros((3, 5, 3), np.float32), color="rgb"), path)

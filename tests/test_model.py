@@ -4,18 +4,18 @@ import os
 import resource
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_all_equal, check_gradients, traced_peak, usable_cpus
 from swinir import attention, checkpoint, model
 from swinir import tensor as T
-from swinir.checkpoint import (_CONFIG_FIELDS, CheckpointError, deserialize,
-                               load_checkpoint, save_checkpoint, serialize)
+from swinir.checkpoint import (CheckpointError, deserialize, load_checkpoint,
+                               save_checkpoint, serialize)
 from swinir.model import (MAX_WINDOW, ModelParams, SwinIRConfig, car_config,
                           classical_sr_config, count_mult_adds, deep_extract,
                           denoise_config, forward, init_params,
@@ -28,6 +28,9 @@ from swinir.imageio import ImageBuffer
 from swinir.train import TrainState, restore_image
 from swinir.windows import (WindowGrid, crop_to, cyclic_shift, pad_to_multiple,
                             unshift, window_partition, window_reverse)
+
+# the config block's fields, in file order
+_CONFIG_FIELDS = tuple(f.name for f in fields(SwinIRConfig))
 
 
 def zero_(t):
@@ -429,6 +432,23 @@ class TestFloat32Kernels:
         assert np.abs(got - want).max() <= 2e-4
 
 
+@st.composite
+def _small_configs(draw) -> dict:
+    """SwinIRConfig keywords of a desk-scale model, valid or not."""
+    task = draw(st.sampled_from(("sr", "denoise", "car")))
+    cin, channels = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    return dict(task=task, scale=draw(st.sampled_from((2, 3, 4))) if task == "sr" else 1,
+                in_channels=cin, out_channels=draw(st.integers(1, 3)) if task == "sr" else cin,
+                channels=channels,
+                heads=draw(st.sampled_from([d for d in range(1, channels + 1)
+                                            if channels % d == 0])),
+                rstb_count=draw(st.integers(0, 2)), stl_per_rstb=draw(st.integers(0, 2)),
+                window=draw(st.integers(0, 5)),
+                mlp_ratio=draw(st.sampled_from((0, 0.1, 0.5, 1, 2.5))),
+                head_style=draw(st.sampled_from(("staged", "direct"))),
+                head_channels=draw(st.integers(0, 3)), rstb_residual=draw(st.booleans()))
+
+
 class TestAccounting:
     def test_classical_anchor(self):
         count = param_count(classical_sr_config(4))
@@ -456,6 +476,11 @@ class TestAccounting:
                     dict(in_channels=0), dict(out_channels=0)):
             with pytest.raises(ValueError):
                 SwinIRConfig(**bad).validate()
+        # a model with layers needs an MLP hidden unit; one without, none
+        for bad in (dict(mlp_ratio=0), dict(channels=1, heads=1, mlp_ratio=0.5)):
+            with pytest.raises(ValueError, match="mlp_ratio"):
+                SwinIRConfig(**bad)
+        SwinIRConfig(mlp_ratio=0, stl_per_rstb=0)
 
     def test_mlp_ratio_beyond_thousandths_rejected(self):
         # checkpoints store the ratio in thousandths: 1.4415 would save fc1
@@ -467,8 +492,8 @@ class TestAccounting:
     def test_window_bounds(self):
         # window 0 used to validate and fail only in forward; a window past
         # MAX_WINDOW makes a model build a window^4 relative-position index
-        for bad in (dict(window=0), dict(window=MAX_WINDOW + 1),
-                    dict(window=60, rstb_count=0)):
+        for bad in (dict(window=0), dict(window=0, stl_per_rstb=0),
+                    dict(window=MAX_WINDOW + 1), dict(window=60, rstb_count=0)):
             with pytest.raises(ValueError, match="window"):
                 SwinIRConfig(**bad).validate()
         for good in (dict(window=0, rstb_count=0), dict(window=MAX_WINDOW)):
@@ -481,6 +506,39 @@ class TestAccounting:
             presets += [classical_sr_config(scale), lightweight_sr_config(scale)]
         for cfg in presets:
             assert cfg.validate() is cfg
+
+    def test_invalid_config_cannot_be_built(self):
+        with pytest.raises(ValueError, match="window 60"):
+            replace(tiny_config(), window=60)
+
+    def test_config_field_order_pinned(self):
+        # a checkpoint's config block stores the fields in this order
+        assert _CONFIG_FIELDS == (
+            "task", "scale", "in_channels", "out_channels", "channels", "rstb_count",
+            "stl_per_rstb", "window", "heads", "mlp_ratio", "head_style",
+            "head_channels", "rstb_residual")
+
+    @settings(max_examples=60, deadline=None)
+    @given(kwargs=_small_configs(), h=st.integers(1, 9), w=st.integers(1, 9))
+    @example(kwargs=dict(task="denoise", scale=1, in_channels=1, out_channels=1,
+                         channels=1, heads=1, rstb_count=1, stl_per_rstb=1, window=2,
+                         mlp_ratio=0.5), h=3, w=3)
+    @example(kwargs=dict(task="denoise", scale=1, in_channels=1, out_channels=1,
+                         channels=2, heads=1, rstb_count=1, stl_per_rstb=0, window=0),
+             h=3, w=3)
+    def test_every_config_that_constructs_runs(self, kwargs, h, w):
+        try:
+            cfg = SwinIRConfig(**kwargs)
+        except ValueError:
+            return
+        params = init_params(cfg, seed=0)
+        x = Tensor(np.random.default_rng(0).uniform(
+            size=(1, cfg.in_channels, h, w)).astype(np.float32))
+        with no_grad():
+            y = forward(params, x)
+        assert y.shape == (1, cfg.out_channels, h * cfg.scale, w * cfg.scale)
+        sum_(forward(params, x) ** 2).backward()
+        assert params.shallow.w.grad is not None
 
     def test_count_matches_built_params(self):
         for cfg in (tiny_config(), tiny_config(task="sr", scale=3, channels=16,
@@ -699,12 +757,12 @@ class TestCheckpoint:
     def test_huge_window_refused_before_allocation(self):
         # a CRC-valid file whose window 60 asks for a 4 * 60^4-byte (52 MB)
         # relative-position index; its bias table fits in the file
-        cfg = tiny_config(channels=1, heads=1)
-        params = init_params(cfg, seed=0)
-        params.config = replace(cfg, window=60)
+        params = init_params(tiny_config(channels=1, heads=1), seed=0)
         params.rstbs[0].stls[0].attn.bias_table = Tensor(
             np.zeros((119 ** 2, 1), dtype=np.float32))
-        blob = serialize(params)
+        body = bytearray(serialize(params)[:-4])
+        struct.pack_into("<i", body, 8 + 4 * _CONFIG_FIELDS.index("window"), 60)
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body))
         assert len(blob) == 57821
         with traced_peak() as peak:
             with pytest.raises(CheckpointError, match="window 60"):
