@@ -76,9 +76,8 @@ def _write(fh: BinaryIO, params: ModelParams, state=None) -> None:
         put(np.ascontiguousarray(tensor.data, dtype="<f4"))
     if state is not None:
         put(struct.pack("<QQd", state.step, state.rng_state, state.best_psnr))
-        for moments in (state.m, state.v):
-            for name, _ in named:
-                put(np.ascontiguousarray(moments[name], dtype="<f4"))
+        put(np.ascontiguousarray(state.m, dtype="<f4"))
+        put(np.ascontiguousarray(state.v, dtype="<f4"))
     fh.write(struct.pack("<I", crc))
 
 
@@ -164,9 +163,11 @@ def _parse(body: _Body) -> Tuple[ModelParams, Optional[dict]]:
         step, rng_state, best_psnr = body.unpack("<QQd")
         if not best_psnr < math.inf:
             raise CheckpointError(f"best PSNR {best_psnr} is NaN or +inf")
-        state = dict(step=step, rng_state=rng_state, best_psnr=best_psnr,
-                     m={n: body.floats(n, np.empty_like(t.data)) for n, t in named},
-                     v={n: body.floats(n, np.empty_like(t.data)) for n, t in named})
+        state = dict(step=step, rng_state=rng_state, best_psnr=best_psnr)
+        for key in ("m", "v"):
+            state[key] = np.empty(param_count(cfg), dtype=np.float32)
+            for name, view in params.views(state[key]).items():
+                body.floats(name, view)
     if body.left:
         raise CheckpointError(f"{body.left} trailing bytes")
     return params, state

@@ -92,8 +92,9 @@ def parse_config_file(path: str) -> Dict[str, object]:
 def _check_memory(model_cfg: SwinIRConfig, train_cfg: TrainConfig) -> None:
     """Refuse, before anything is allocated, a config whose run cannot fit
     in physical memory. 32 bytes per parameter hold train's float32
-    weights, gradients and Adam moments, and gradcheck's float64 weights
-    and gradients; one float32 training batch adds its LQ and HQ patches.
+    weights, gradients and Adam moments with the 12 bytes of an Adam
+    step's temporaries, and gradcheck's float64 weights and gradients;
+    one float32 training batch adds its LQ and HQ patches.
     The keys of the larger share are named, those above their defaults if
     any are. Skipped where the platform cannot tell its memory size."""
     try:
@@ -328,8 +329,6 @@ def cmd_eval(args) -> int:
         raise CliError(f"{unmatched[0]} in {side} has no image of the same name "
                        f"in the other directory", EXIT_DATA)
     names = sorted(lq_by_name)
-    name_w = max(len(name) for name in names)
-    print(f"{'image':<{name_w}}  {'psnr':>9}  {'ssim':>7}")
     psnrs, ssims = [], []
     for name in names:
         lp, hp = lq_by_name[name], hq_by_name[name]
@@ -346,6 +345,10 @@ def cmd_eval(args) -> int:
         p, s = eval_pair(restored, hq, border=args.border)
         psnrs.append(p)
         ssims.append(s)
+    # the table only once every pair is scored: a failure leaves stdout empty
+    name_w = max(len(name) for name in names)
+    print(f"{'image':<{name_w}}  {'psnr':>9}  {'ssim':>7}")
+    for name, p, s in zip(names, psnrs, ssims):
         print(f"{name:<{name_w}}  {p:>9.4f}  {s:>7.4f}")
     print(f"{'mean':<{name_w}}  {float(np.mean(psnrs)):>9.4f}  "
           f"{float(np.mean(ssims)):>7.4f}")

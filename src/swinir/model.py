@@ -227,6 +227,16 @@ class ModelParams:
     def tensors(self) -> List[Tensor]:
         return [t for _, t in self.named()]
 
+    def views(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
+        """Each parameter's part of ``flat``, a buffer of one value per
+        parameter element in the canonical order (Adam's moments), as a
+        view of the parameter's shape."""
+        views, at = {}, 0
+        for name, t in self.named():
+            views[name] = flat[at:at + t.size].reshape(t.shape)
+            at += t.size
+        return views
+
     def zero_grad(self) -> None:
         for t in self.tensors():
             t.zero_grad()

@@ -285,6 +285,12 @@ class Tensor:
         than keep it: ``window_attention`` rebuilds its scores E from qkv,
         and ``mlp`` rebuilds GELU(h) from h.
 
+        A rule sums along activation rows or columns (the bias gradients,
+        ``layer_norm``'s row means, ``window_attention``'s D) by einsum
+        contraction: numpy's reductions run 2-4x slower over short rows,
+        and a BLAS product with ones could sum in an order that depends on
+        the thread count.
+
         Backward consumes the tape: it pops each node off the walk and
         unlinks its inputs and rule, so a rule is freed once it has run (at
         once if its node received no gradient), and with it every array
@@ -360,6 +366,8 @@ def _wrap(x, dtype) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, extent in enumerate(shape):
@@ -540,7 +548,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def rule(g):
         g2 = g.reshape(-1, dout)
-        return (g2 @ wd.T).reshape(sx), x2.T @ g2, g2.sum(axis=0)
+        return (g2 @ wd.T).reshape(sx), x2.T @ g2, np.einsum("ij->j", g2)
 
     return _make(out.reshape(*sx[:-1], dout), (x, weight, bias), rule)
 
@@ -650,7 +658,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         for i, j in np.ndindex(k, k):
             tap = flat[:, :, i * wp + j:i * wp + j + span].transpose(0, 2, 1)
             dw[:, :, i, j] = np.matmul(ggrid[:, :, :span], tap).sum(axis=0)
-        return gx, dw, g.sum(axis=(0, 2, 3))
+        return gx, dw, np.einsum("nchw->c", g)
 
     return _make(out, (x, weight, bias), rule)
 
@@ -673,28 +681,35 @@ def layer_norm(x: Tensor, gamma: Optional[Tensor], beta: Optional[Tensor]) -> Te
     need no squared temporary and beat numpy's slow reductions over short
     rows. They are not BLAS products (x @ ones): BLAS was faster still, but
     its row sums changed with the number of rows, so a row's output would
-    depend on how the layer is chunked. The normalized rows are the output,
-    and backward reads them."""
+    depend on how the layer is chunked. The normalized rows x̂ are the
+    output, and backward reads them with 1/sigma: its row means of g and
+    of g x̂ are einsum contractions too, and dx = (g - mean(g) - x̂
+    mean(g x̂)) / sigma is formed in place in one buffer."""
     c = x.shape[-1]
     if c == 0:
         raise ValueError("layer_norm: empty normalization axis")
     x2 = x.data.reshape(-1, c)
-    h = x2 - np.einsum("ij,j->i", x2, np.full(c, 1.0 / c, dtype=x2.dtype))[:, None]
+    mean_w = np.full(c, 1.0 / c, dtype=x2.dtype)
+    h = x2 - np.einsum("ij,j->i", x2, mean_w)[:, None]
     inv = np.einsum("ij,ij->i", h, h)[:, None]
     inv *= 1.0 / c
     inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     h *= inv
-    xhat = h.reshape(x.shape)
-    inv = inv.reshape(*x.shape[:-1], 1)
 
     def rule(g):
-        m1 = np.add.reduce(g, axis=-1, keepdims=True) / c
-        m2 = np.add.reduce(g * xhat, axis=-1, keepdims=True) / c
-        return (inv * (g - m1 - xhat * m2),)
+        g2 = g.reshape(-1, c)
+        m1 = np.einsum("ij,j->i", g2, mean_w)[:, None]
+        m2 = np.einsum("ij,ij->i", g2, h)[:, None]
+        m2 *= 1.0 / c
+        dx = h * m2
+        np.subtract(g2, dx, out=dx)
+        dx -= m1
+        dx *= inv
+        return (dx.reshape(g.shape),)
 
-    out = _make(xhat, (x,), rule)
+    out = _make(h.reshape(x.shape), (x,), rule)
     if gamma is None:
         return out
     return add(mul(out, gamma), beta)
@@ -813,8 +828,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         dw2 = (h * cdf).T @ g2
         dh = g2 @ w2d.T
         dh *= _gelu_grad(h, cdf)
-        return ((dh @ w1d.T).reshape(sx), x2.T @ dh, dh.sum(axis=0),
-                dw2, g2.sum(axis=0))
+        return ((dh @ w1d.T).reshape(sx), x2.T @ dh, np.einsum("ij->j", dh),
+                dw2, np.einsum("ij->j", g2))
 
     return _make(out.reshape(*sx[:-1], w2d.shape[1]), (x, w1, b1, w2, b2), rule)
 
@@ -894,10 +909,11 @@ def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
     Backward rebuilds E with the same local function as the forward, the
     kept column max in place of a new one, so it has the forward's bits;
     as in FlashAttention (Dao et al., arXiv 2205.14135), one more K Q^T,
-    bias add and exp buy back E's memory. With A = E r and gs = r g, the
-    gradient g scaled per query: dV = E gs, and the softmax rule dS =
-    A (dA - D) with dA = V g^T and D = rowsum(out * g) becomes dS =
-    E (V gs^T - rowsum(out * gs)); dQ = dS^T K, dK = dS Q and dB = dS
+    bias add and exp buy back E's memory. It scales the rebuilt E by r in
+    place, into the attention weights A = E r, and takes FlashAttention's
+    form of the softmax rule: dV = A g, dS = A (dA - D) with dA = V g^T
+    and D = rowsum(out * g) per query and head, one einsum contraction
+    of the kept output with g. Then dQ = dS^T K, dK = dS Q, and dB is dS
     summed over windows.
     """
     heads, mm = bias.shape[0], bias.shape[-1]
@@ -940,14 +956,15 @@ def window_attention(qkv: Tensor, bias: Tensor, mask) -> Tensor:
     out_h[...] = vte.swapaxes(-1, -2)
 
     def rule(g):
-        e = scores(shift)[0]
-        gs = heads_view(g) * r.swapaxes(-1, -2)
+        a = scores(shift)[0]
+        a *= r
+        gh = heads_view(g)
         grad = np.empty_like(qd)
         gq, gk, gv = grad.reshape(nw, mm, 3, heads, d).transpose(2, 0, 3, 1, 4)
-        np.matmul(e, gs, out=gv)
-        ds = np.matmul(v, gs.swapaxes(-1, -2))
-        ds -= (out_h * gs).sum(axis=-1)[:, :, None]
-        ds *= e
+        np.matmul(a, gh, out=gv)
+        ds = np.matmul(v, gh.swapaxes(-1, -2))
+        ds -= np.einsum("nhqd,nhqd->nhq", out_h, gh)[:, :, None]
+        ds *= a
         np.matmul(ds.swapaxes(-1, -2), k, out=gq)
         np.matmul(ds, q, out=gk)
         return grad, ds.sum(axis=0)

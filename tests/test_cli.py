@@ -638,6 +638,21 @@ class TestInferEval:
         assert rc == 3
         assert "img0.ppm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["img0.pgm", "img2.pgm"])
+    def test_eval_failure_prints_no_table(self, tmp_path, bad, capsys):
+        # a truncated first or last LQ image: exit 3 naming it, and no
+        # header or rows for the pairs read before it
+        write_images(tmp_path / "hq", n=3, size=24)
+        write_images(tmp_path / "lq", n=3, size=24)
+        blob = (tmp_path / "lq" / bad).read_bytes()
+        (tmp_path / "lq" / bad).write_bytes(blob[:-1])
+        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
+                   "--hq-dir", str(tmp_path / "hq")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert bad in captured.err
+        assert captured.out == ""
+
     def test_eval_with_checkpoint_runs(self, tmp_path, capsys):
         ckpt, _ = make_ckpt(tmp_path)
         write_images(tmp_path / "lq", n=2, size=16, seed=3)

@@ -725,16 +725,16 @@ class TestCheckpoint:
         params = init_params(tiny_config(), seed=0)
         state = TrainState.fresh(params, seed=1)
         rng = np.random.default_rng(0)
-        for name, t in params.named():
-            state.m[name][...] = rng.normal(size=t.shape)
-            state.v[name][...] = rng.uniform(size=t.shape)
+        state.m[...] = rng.normal(size=state.m.size)
+        state.v[...] = rng.uniform(size=state.v.size)
         state.step, state.best_psnr = 5, 20.25
         v1, v2 = serialize(params), serialize(params, state)
         assert v1[4:8] == struct.pack("<I", 1)
         assert v2[4:8] == struct.pack("<I", 2)
         assert v2[8:len(v1) - 4] == v1[8:-4]
-        moments = b"".join(state.m[n].astype("<f4").tobytes() for n, _ in params.named()) \
-            + b"".join(state.v[n].astype("<f4").tobytes() for n, _ in params.named())
+        m, v = params.views(state.m), params.views(state.v)
+        moments = b"".join(m[n].astype("<f4").tobytes() for n, _ in params.named()) \
+            + b"".join(v[n].astype("<f4").tobytes() for n, _ in params.named())
         assert v2[len(v1) - 4:-4] == \
             struct.pack("<QQd", 5, state.rng_state, 20.25) + moments
         loaded, fields = deserialize(v2)

@@ -1,22 +1,28 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import package_env, traced_peak
 
 import swinir.degrade as degrade_mod
 import swinir.tensor as tensor_mod
 import swinir.train as train_mod
 from swinir.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from swinir.degrade import DegradationSpec, procedural_texture, sample_patch_pair
-from swinir.model import init_params, tiny_config
+from swinir.losses import compute_loss
+from swinir.model import (SwinIRConfig, forward, init_params, lightweight_sr_config,
+                          tiny_config)
 from swinir.rng import SplitMix64, derive
 from swinir.tensor import Tensor
-from swinir.train import (ADAM_EPS, GradcheckReport, PairDataset, TrainConfig,
-                          TrainState, TrainingDiverged, adam_step, gradcheck,
-                          load_train_state, lr_at, make_validation_pairs,
-                          save_train_state, train)
+from swinir.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GradcheckReport,
+                          PairDataset, TrainConfig, TrainState, TrainingDiverged,
+                          adam_step, gradcheck, load_train_state, lr_at,
+                          make_validation_pairs, save_train_state, train)
 
 
 def toy_sr_config():
@@ -67,18 +73,27 @@ class TestAdam:
             np.testing.assert_array_equal(t.data, before[n])
 
     def test_nonfinite_gradient_aborts_before_updating(self):
+        # after one step, so the moments are not zero; the first of a NaN
+        # and an Inf is named, and a None gradient between them is skipped
         params = init_params(tiny_config(), seed=0)
         state = TrainState.fresh(params, seed=0)
-        before = {n: t.data.copy() for n, t in params.named()}
         named = list(params.named())
         for _, t in named:
             t.grad = np.ones_like(t.data)
+        adam_step(params, state, lr=0.1)
+        before = {n: t.data.copy() for n, t in params.named()}
+        moments = state.m.copy(), state.v.copy()
         named[2][1].grad[...] = np.nan
-        with pytest.raises(TrainingDiverged):
+        named[3][1].grad = None
+        named[5][1].grad.flat[-1] = np.inf
+        with pytest.raises(TrainingDiverged,
+                           match=f"non-finite gradient in {named[2][0]} at step 1"):
             adam_step(params, state, lr=0.1)
         for n, t in params.named():
             np.testing.assert_array_equal(t.data, before[n])
-        assert state.step == 0
+        np.testing.assert_array_equal(state.m, moments[0])
+        np.testing.assert_array_equal(state.v, moments[1])
+        assert state.step == 1
 
     def test_deterministic_across_runs(self):
         def run():
@@ -94,6 +109,97 @@ class TestAdam:
         a, b = run(), run()
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
+
+
+def reference_adam(params, m, v, step, lr):
+    """The per-tensor update loop that flat Adam must match bit for bit;
+    m and v map names to arrays, ``step`` is the step after this update."""
+    c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+    for name, t in params.named():
+        g = t.grad
+        if g is None:
+            continue
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * g * g
+        t.data -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+
+
+class TestFlatAdam:
+    """adam_step runs over the flat moment buffers; a loop over the
+    tensors is the reference."""
+
+    def set_grads(self, params, rng, step):
+        # gradients over ten decades; on odd steps every seventh is None,
+        # which splits the parameters into several runs
+        for i, (_, t) in enumerate(params.named()):
+            if step % 2 and i % 7 == 3:
+                t.grad = None
+            else:
+                scale = 10.0 ** rng.integers(-8, 2)
+                t.grad = (scale * rng.normal(size=t.shape)).astype(np.float32)
+
+    def test_bits_of_the_per_tensor_loop_across_a_resume(self, tmp_path):
+        cfg = toy_sr_config()
+        params, ref = init_params(cfg, seed=3), init_params(cfg, seed=3)
+        state = TrainState.fresh(params, seed=0)
+        m = {n: np.zeros_like(t.data) for n, t in ref.named()}
+        v = {n: np.zeros_like(t.data) for n, t in ref.named()}
+        rng = np.random.default_rng(0)
+        for step in range(1, 7):
+            if step == 4:       # resume from a file part way through
+                save_train_state(params, state, str(tmp_path / "last.ckpt"))
+                params, state = load_train_state(str(tmp_path / "last.ckpt"))
+            self.set_grads(params, rng, step)
+            for (_, t), (_, r) in zip(params.named(), ref.named(), strict=True):
+                r.grad = t.grad
+            lr = 1e-3 * step
+            adam_step(params, state, lr)
+            reference_adam(ref, m, v, step, lr)
+            assert state.step == step
+            mine_m, mine_v = params.views(state.m), params.views(state.v)
+            for (n, t), (_, r) in zip(params.named(), ref.named(), strict=True):
+                np.testing.assert_array_equal(t.data, r.data)
+                np.testing.assert_array_equal(mine_m[n], m[n])
+                np.testing.assert_array_equal(mine_v[n], v[n])
+
+    def test_peak_memory_is_twelve_bytes_per_parameter(self):
+        # the concatenated gradient and two temporaries of its size, in
+        # float32, which keeps cli._check_memory's 32 bytes a bound
+        params = init_params(lightweight_sr_config(2, 1), seed=0)
+        state = TrainState.fresh(params, seed=0)
+        rng = np.random.default_rng(2)
+        for t in params.tensors():
+            t.grad = rng.normal(size=t.shape).astype(np.float32)
+        n = state.m.size
+        with traced_peak() as peak:
+            adam_step(params, state, lr=1e-3)
+            assert peak() <= 12 * n + (64 << 10)
+
+
+def test_taped_toy_step_float32_within_1e5_of_float64():
+    # one taped step of the benchmark's train-sr-toy model and batch; each
+    # parameter's error is relative to its largest float64 gradient, with a
+    # floor of 1e-3 of the model's largest for attn.bk, whose exact
+    # gradient is 0 (softmax ignores a shift shared by every key)
+    cfg = SwinIRConfig(task="sr", scale=2, in_channels=1, out_channels=1,
+                       channels=16, rstb_count=2, stl_per_rstb=2, window=4, heads=4)
+    ds = PairDataset([procedural_texture(derive(0, 0x2A, i), 96, 96, 1)
+                      for i in range(4)], DegradationSpec(kind="bicubic", scale=2))
+    lq, hq = ds.sample_batch(TrainConfig(batch_size=8, patch_size=16), SplitMix64(1), 0)
+    p32 = init_params(cfg, seed=7)
+    p64 = init_params(cfg, seed=7, dtype=np.float64)
+    for t64, t32 in zip(p64.tensors(), p32.tensors(), strict=True):
+        t64.data[...] = t32.data
+    for params, dtype in ((p32, np.float32), (p64, np.float64)):
+        compute_loss("l1", forward(params, Tensor(lq.astype(dtype))),
+                     Tensor(hq.astype(dtype))).backward()
+    top = max(np.abs(t.grad).max() for t in p64.tensors())
+    for (name, t32), t64 in zip(p32.named(), p64.tensors(), strict=True):
+        assert t32.grad.dtype == np.float32
+        scale = max(np.abs(t64.grad).max(), 1e-3 * top)
+        assert np.abs(t32.grad - t64.grad).max() <= 1e-5 * scale, name
 
 
 class TestSchedule:
@@ -182,6 +288,37 @@ class TestPairDataset:
         assert blobs[0] == blobs[1]
 
 
+def kill_run_recipe():
+    """(model config, train config, dataset, validation pairs) of a toy run
+    whose every validation beats the last, so each writes best.ckpt."""
+    ds = toy_dataset(4)
+    return (toy_sr_config(), TrainConfig(iterations=6, val_period=2, batch_size=2,
+                                         patch_size=8, seed=4),
+            ds, make_validation_pairs(ds.hq_images[:2], ds.spec))
+
+
+# python -c KILL_RUN TESTS_DIR OUT N: the kill_run_recipe run into OUT, ended
+# by os._exit(17) at the start of its N-th best.ckpt save
+KILL_RUN = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+import swinir.train as train_mod
+from test_trainer import kill_run_recipe
+
+real_save, best_saves = train_mod.save_checkpoint, []
+
+def dying(params, path, state=None):
+    if path.endswith("best.ckpt"):
+        best_saves.append(path)
+        if len(best_saves) == int(sys.argv[3]):
+            os._exit(17)
+    real_save(params, path, state)
+
+train_mod.save_checkpoint = dying
+train_mod.train(*kill_run_recipe(), out_dir=sys.argv[2])
+"""
+
+
 class TestTrainLoop:
     def test_zero_iterations_writes_init_checkpoint(self, tmp_path):
         cfg = toy_sr_config()
@@ -249,6 +386,33 @@ class TestTrainLoop:
         assert (tmp_path / "a" / "last.ckpt").read_bytes() == \
             (tmp_path / "b2" / "last.ckpt").read_bytes()
 
+    def test_death_in_the_last_best_save_resumes_to_the_same_files(self, tmp_path,
+                                                                  monkeypatch):
+        # a fresh interpreter runs the KILL_RUN recipe and dies by os._exit
+        # inside its last best.ckpt save; the resume must then end with the
+        # files of the uninterrupted run
+        real_save, best_saves = train_mod.save_checkpoint, []
+
+        def counting(params, path, state=None):
+            if path.endswith("best.ckpt"):
+                best_saves.append(path)
+            real_save(params, path, state)
+
+        monkeypatch.setattr(train_mod, "save_checkpoint", counting)
+        cfg, tcfg, ds, val = kill_run_recipe()
+        train(cfg, tcfg, ds, val, out_dir=str(tmp_path / "a"))
+        monkeypatch.setattr(train_mod, "save_checkpoint", real_save)
+        assert len(best_saves) == 3         # at steps 2, 4 and 6
+
+        run = tmp_path / "b"
+        done = subprocess.run([sys.executable, "-c", KILL_RUN, os.path.dirname(__file__),
+                               str(run), str(len(best_saves))], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 17, done.stderr
+        train(cfg, tcfg, ds, val, out_dir=str(run), resume=str(run / "last.ckpt"))
+        for name in ("best.ckpt", "last.ckpt"):
+            assert (run / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
+
     def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path, monkeypatch):
         cfg = toy_sr_config()
         tcfg = TrainConfig(iterations=8, val_period=2, batch_size=2,
@@ -308,9 +472,9 @@ class TestTrainStatePersistence:
         for step, best_psnr in ((0, -math.inf), (17, 31.5)):
             state = TrainState.fresh(params, seed=2)
             rng = np.random.default_rng(step)
-            for n, t in params.named():   # distinct m and v, v >= 0 as in Adam
-                state.m[n][...] = rng.normal(size=t.shape)
-                state.v[n][...] = rng.uniform(size=t.shape)
+            # distinct m and v, v >= 0 as in Adam
+            state.m[...] = rng.normal(size=state.m.size)
+            state.v[...] = rng.uniform(size=state.v.size)
             state.step = step
             state.best_psnr = best_psnr
             path = str(tmp_path / "last.ckpt")
@@ -323,8 +487,8 @@ class TestTrainStatePersistence:
                                         strict=True):
                 assert n == n2
                 np.testing.assert_array_equal(t.data, t2.data)
-                np.testing.assert_array_equal(state.m[n], state2.m[n])
-                np.testing.assert_array_equal(state.v[n], state2.v[n])
+            np.testing.assert_array_equal(state.m, state2.m)
+            np.testing.assert_array_equal(state.v, state2.v)
 
     def test_params_only_checkpoint_has_no_state(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
