@@ -141,7 +141,11 @@ def load_image(path: str) -> ImageBuffer:
 @contextlib.contextmanager
 def atomic_path(path: str):
     """Yield ``path + ".tmp"`` to write, then rename it over ``path``; if the
-    block or the rename fails, remove it and leave ``path`` as it was."""
+    block or the rename fails, remove it and leave ``path`` as it was.
+
+    This holds when the process dies, not when the machine loses power:
+    neither the file nor its directory is fsynced, so on some file systems
+    a power loss soon after the rename can leave an old or empty file."""
     tmp = path + ".tmp"
     try:
         yield tmp

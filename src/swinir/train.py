@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from .degrade import DegradationSpec, crop_pair, degrade_pair
-from .imageio import ImageBuffer
+from .imageio import ImageBuffer, atomic_path
 from .losses import compute_loss, loss_for_task
 from .metrics import psnr
 from .model import ModelParams, SwinIRConfig, forward, init_params
@@ -245,6 +246,21 @@ def _metrics_line(step: int, loss: float, val: float, lr: float) -> str:
     return f"step {step} loss {loss:.6f} psnr {val:.4f} lr {lr:.6g}"
 
 
+def _cut_log(path: str, step: int) -> None:
+    """Drop the lines of the metrics log at ``path`` that name a step after
+    ``step``, if it exists: a run that died after logging a validation and
+    before saving it resumes from an earlier step and logs it again."""
+    if not os.path.exists(path):
+        return
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    keep = [line for line in lines
+            if (m := re.match(r"step (\d+) ", line)) is None or int(m[1]) <= step]
+    if keep != lines:
+        with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(keep)
+
+
 def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
           dataset: PairDataset,
           val_pairs: Sequence[Tuple[ImageBuffer, ImageBuffer]],
@@ -255,9 +271,9 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
 
     Writes ``last.ckpt`` (with resume state, what ``resume`` takes) and
     ``best.ckpt`` and appends to ``metrics.log`` under ``out_dir`` when
-    given. On divergence (a non-finite loss, gradient or validation
-    restore) the most recent checkpoints are left in place and the result
-    is flagged.
+    given; a resume first drops the log's lines after its step. On
+    divergence (a non-finite loss, gradient or validation restore) the most
+    recent checkpoints are left in place and the result is flagged.
     """
     loss_kind = loss_for_task(model_cfg.task)
     border = psnr_border(model_cfg)
@@ -275,6 +291,8 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     result = TrainResult(params=params, state=state, best_psnr=state.best_psnr)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        if resume:
+            _cut_log(os.path.join(out_dir, "metrics.log"), state.step)
 
     def emit(line: str) -> None:
         result.metrics.append(line)

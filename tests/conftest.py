@@ -1,12 +1,27 @@
+import importlib.util
 import os
 import tracemalloc
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 import pytest
 
 from swinir import tensor as tensor_mod
 from swinir.tensor import Tensor
+
+
+@cache
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded by path (the directory is
+    no package). The tests read ``perfbench/`` and never edit it: the
+    tracer's bindings and the float64 reference (``reference``) are checked
+    as the benchmark runs them."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def package_env():
@@ -23,11 +38,11 @@ def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def block_budgets(monkeypatch, workers=(1,)):
-    """Run a loop body under two budgets of conv2d's column blocks
-    (``_CONV_BYTES``), for each of ``workers`` usable CPUs
-    (``usable_cpus``): the default budget, then one byte, which makes every
-    block one output position wide."""
+def conv_byte_budgets(monkeypatch, workers=(1,)):
+    """Run a loop body under two values of ``tensor._CONV_BYTES``, the
+    budget of conv2d's column blocks and nothing else, for each of
+    ``workers`` usable CPUs (``usable_cpus``): the default, then one byte,
+    which makes every block one output position wide."""
     default = tensor_mod._CONV_BYTES
     for count in workers:
         usable_cpus(monkeypatch, count)
@@ -136,17 +151,11 @@ def make_attn_params(c, heads, m, rng=None, zero=False):
 
 
 def dense_shift_mask(h, w, m, s):
-    """Additive shifted-window mask, [nW, m^2, m^2] float64, built without
-    ``swinir.windows``: pixels are labelled by their pre-shift region,
-    bands {0, H-m, H-s} by {0, W-m, W-s}, and token pairs of a window from
-    different regions get -inf, all others 0."""
-    label = np.zeros((h, w), dtype=np.int64)
-    if s:
-        for i, rows in enumerate((slice(0, h - m), slice(h - m, h - s), slice(h - s, h))):
-            for j, cols in enumerate((slice(0, w - m), slice(w - m, w - s), slice(w - s, w))):
-                label[rows, cols] = 3 * i + j
-    tokens = label.reshape(h // m, m, w // m, m).transpose(0, 2, 1, 3).reshape(-1, m * m)
-    return np.where(tokens[:, :, None] != tokens[:, None, :], -np.inf, 0.0)
+    """Additive shifted-window mask, [nW, m^2, m^2] float64, -inf where the
+    float64 reference's region-label mask (``perfbench/reference.py``) masks
+    a pair, else 0; at shift 0 its band edges fall on window edges, so it
+    masks nothing."""
+    return np.where(load_perfbench("reference").shift_mask(h, w, m, s) < 0, -np.inf, 0.0)
 
 
 def dense_attention_oracle(x, params, mask=None):

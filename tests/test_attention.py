@@ -11,10 +11,9 @@ from swinir.attention import (MlpParams, StlParams, WindowAttentionParams,
                               attn_weights, mlp_forward, relative_position_index,
                               stl_forward, window_msa)
 from swinir.model import init_params, lightweight_sr_config
-from swinir.tensor import (Tensor, gelu, layer_norm, no_grad, sum_,
+from swinir.tensor import (Tensor, gelu, layer_norm, no_grad, reshape, sum_,
                            window_attention)
-from swinir.windows import (WindowGrid, build_attn_mask, cyclic_shift,
-                            pad_to_multiple, window_partition)
+from swinir.windows import WindowGrid, build_attn_mask, pad_to_multiple, reorder
 
 
 def msa(x, params, mask=None):
@@ -165,13 +164,13 @@ class TestWindowMsa:
             assert base[w, i, j] == pytest.approx(0.25, abs=1e-6)
 
     def test_shifted_batch_gradcheck_float64(self, rng):
-        # window 7 on 9x9 images: reflect-padded to 14x14, shifted by 3,
-        # two images sharing one 4-window mask
+        # window 7 on 9x9 images: reflect-padded to 14x14, their rows in
+        # the window order of shift 3, two images sharing one 4-window mask
         c, heads, m, s = 4, 2, 7, 3
         x = rng.uniform(size=(2, 9, 9, c))
         shapes = [(c, c), (c,), (c, c), (c, c), ((2 * m - 1) ** 2, heads)]
         arrays = [x] + [0.3 * rng.normal(size=shape) for shape in shapes]
-        mask = build_attn_mask(14, 14, m, s)
+        grid, mask = WindowGrid(14, 14, m), build_attn_mask(14, 14, m, s)
         proj_w = Tensor(0.3 * rng.normal(size=(c, c)))
         zeros = Tensor(np.zeros(c))
 
@@ -181,8 +180,8 @@ class TestWindowMsa:
                 proj_w=proj_w, proj_b=zeros, bias_table=table,
                 rel_index=relative_position_index(m), heads=heads)
             padded, _ = pad_to_multiple(xx, m)
-            wins = window_partition(cyclic_shift(padded, s), m)
-            return sum_(msa(wins, params, mask) ** 2.0)
+            rows = reorder(reshape(padded, 2, 14 * 14, c), grid, None, s)
+            return sum_(msa(rows, params, mask) ** 2.0)
 
         check_gradients(fn, arrays)
 

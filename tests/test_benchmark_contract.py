@@ -2,13 +2,11 @@
 name; a rename breaks traced benchmark runs. These run a short training
 and restores under the tracer and check that the spans, scopes and
 counters the benchmark reports are recorded."""
-import importlib.util
-import os
 from collections import Counter
 
 import numpy as np
 
-from conftest import usable_cpus
+from conftest import load_perfbench, usable_cpus
 from swinir import attention
 from swinir.degrade import DegradationSpec, procedural_texture
 from swinir.imageio import ImageBuffer
@@ -16,18 +14,8 @@ from swinir.model import init_params, tiny_config
 from swinir.train import (PairDataset, TrainConfig, make_validation_pairs,
                           restore_image, train)
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_training_records_checkpoint_spans(tmp_path):
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     cfg = tiny_config(task="sr", scale=2, channels=8, window=4, heads=2)
     spec = DegradationSpec(kind="bicubic", scale=2)
     hq = [procedural_texture(i, 16, 16) for i in range(2)]
@@ -46,7 +34,7 @@ def test_traced_training_records_checkpoint_spans(tmp_path):
 
 
 def test_traced_inference_scopes_every_layer():
-    tracer_mod = load_tracer()
+    tracer_mod = load_perfbench("tracer")
     for module, attr, _name, _scope in tracer_mod._FUNCTIONS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     for cls, attr, _name in tracer_mod._METHODS:
@@ -79,7 +67,7 @@ def test_traced_chunks_keep_their_layer_scopes(monkeypatch):
     # one span stack and is not thread-safe
     monkeypatch.setattr(attention, "_CHUNK_ROWS", 32)
     usable_cpus(monkeypatch, 1)
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     cfg = tiny_config(task="sr", scale=2, channels=8, stl_per_rstb=2, window=4,
                       heads=2)
     lq = ImageBuffer(np.random.default_rng(0).uniform(size=(10, 10, 1)).astype(np.float32))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import (assert_all_equal, block_budgets, check_gradients,
+from conftest import (assert_all_equal, check_gradients, conv_byte_budgets,
                       max_rel_err, package_env, tape_gradients, traced_peak,
                       usable_cpus)
 from swinir import tensor as T
@@ -100,7 +100,7 @@ class TestConv2d:
             return sum_(conv2d(xx, ww, bb) * Tensor(g))
 
         runs = []
-        for _ in block_budgets(monkeypatch, workers=(1, 2, 3)):
+        for _ in conv_byte_budgets(monkeypatch, workers=(1, 2, 3)):
             out = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
             with no_grad():     # the (image, block) pairs go over the pool
                 pooled = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
@@ -119,7 +119,7 @@ class TestConv2d:
         zero = np.zeros(16)
         want = tape_gradients(
             lambda xx, ww: sum_(conv2d(xx, ww, Tensor(zero)) * Tensor(g)), [x, w])
-        for _ in block_budgets(monkeypatch):
+        for _ in conv_byte_budgets(monkeypatch):
             xs = Tensor(x.astype(np.float32), requires_grad=True)
             ws = Tensor(w.astype(np.float32), requires_grad=True)
             bs = Tensor(zero.astype(np.float32))

@@ -389,8 +389,8 @@ class TestTrainLoop:
     def test_death_in_the_last_best_save_resumes_to_the_same_files(self, tmp_path,
                                                                   monkeypatch):
         # a fresh interpreter runs the KILL_RUN recipe and dies by os._exit
-        # inside its last best.ckpt save; the resume must then end with the
-        # files of the uninterrupted run
+        # inside its last best.ckpt save, after logging that step; the
+        # resume must then end with the files of the uninterrupted run
         real_save, best_saves = train_mod.save_checkpoint, []
 
         def counting(params, path, state=None):
@@ -410,7 +410,7 @@ class TestTrainLoop:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 17, done.stderr
         train(cfg, tcfg, ds, val, out_dir=str(run), resume=str(run / "last.ckpt"))
-        for name in ("best.ckpt", "last.ckpt"):
+        for name in ("best.ckpt", "last.ckpt", "metrics.log"):
             assert (run / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
 
     def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_shift_mask, traced_peak
+from conftest import dense_shift_mask, load_perfbench, traced_peak
 from swinir.tensor import Tensor, window_attention
 from swinir.windows import (WindowGrid, build_attn_mask, crop_to,
                             cyclic_shift, pad_to_multiple, reorder, row_gather,
@@ -100,14 +100,17 @@ def expand(mask, count=None):
 class TestReorder:
     @pytest.mark.parametrize("h, w, m", [(8, 12, 4), (14, 7, 7), (6, 6, 3)])
     def test_each_order_is_shift_then_partition(self, rng, h, w, m):
-        # image order -> plain windows -> shifted windows -> plain -> image
+        # image order -> plain windows -> shifted windows -> plain -> image;
+        # the window order is the float64 reference's, a roll by -s and then
+        # its row-major windows of row-major tokens
+        to_windows = load_perfbench("reference").to_windows
         x = rng.normal(size=(2, h, w, 3))
         grid = WindowGrid(h, w, m)
         orders = [None, 0, m // 2, 0, m // 2, None]
         rows = Tensor(x.reshape(2, h * w, 3))
         for src, dst in zip(orders, orders[1:]):
             rows = reorder(rows, grid, src, dst)
-            want = x if dst is None else window_partition(cyclic_shift(Tensor(x), dst), m).data
+            want = x if dst is None else to_windows(np.roll(x, (-dst, -dst), axis=(1, 2)), m)
             np.testing.assert_array_equal(rows.data.reshape(-1), want.reshape(-1))
 
     def test_same_order_gathers_nothing(self):
