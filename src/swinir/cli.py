@@ -3,8 +3,10 @@
 Subcommands: degrade, train, infer, eval, gradcheck, inspect. Exit codes:
 0 success, 2 usage or validation error, 3 data or integrity error,
 4 numeric failure. Unknown flags are errors. degrade and train take
---seed; when omitted, a seed is drawn from system entropy and printed so
-the run can be reproduced. gradcheck takes --seed too, 0 by default.
+--seed; when omitted, a seed is drawn from system entropy and printed,
+once the command's checks pass, so the run can be reproduced. gradcheck
+takes --seed too, 0 by default. A failing command prints one error line
+to stderr (after argparse's usage, for a bad flag) and nothing to stdout.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .imageio import (ImageBuffer, ImageFormatError, image_paths, load_image,
                       read_image_shape, read_manifest, save_image)
 from .metrics import SSIM_MIN_SIDE, eval_pair
 from .model import SwinIRConfig, param_count, tiny_config
-from .train import (PairDataset, TrainConfig, gradcheck,
+from .train import (PairDataset, TrainConfig, gradcheck, load_train_state,
                     make_validation_pairs, psnr_border, restore_image, train)
 
 EXIT_OK = 0
@@ -70,7 +72,7 @@ def parse_config_file(path: str) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_DATA)
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -143,14 +145,6 @@ def _config_help() -> str:
 
 # -- shared helpers ----------------------------------------------------------
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbits(63)
-    print(f"seed {seed}")
-    return seed
-
-
 def _task_degradation(task: str, scale: int, sigma: float, quality: int,
                       seed: int) -> DegradationSpec:
     """The degradation that synthesizes a task's low-quality inputs."""
@@ -177,14 +171,16 @@ def _check_out(path: str, directory: bool) -> None:
     needs an existing, writable directory and must not be a directory
     itself; a directory must be one already or be creatable under its
     nearest existing ancestor. Creates nothing."""
+    if not path:        # train would save nothing, infer and degrade fail late
+        raise CliError("cannot write '': the path is empty", EXIT_DATA)
     if directory:
         target = os.path.abspath(path)
         while not os.path.exists(target):
             target = os.path.dirname(target)
     elif os.path.isdir(path):
         raise CliError(f"cannot write {path}: it is a directory", EXIT_DATA)
-    else:
-        target = os.path.dirname(os.path.abspath(path))
+    else:       # the raw dirname: "missing/" names a file in missing
+        target = os.path.abspath(os.path.dirname(path))
     if not os.path.isdir(target):
         raise CliError(f"cannot write {path}: {target} is not a directory", EXIT_DATA)
     if not os.access(target, os.W_OK | os.X_OK):
@@ -248,12 +244,11 @@ def _restore(params, img: ImageBuffer, path: str) -> ImageBuffer:
 # -- subcommands ------------------------------------------------------------
 
 def cmd_degrade(args) -> int:
-    seed = _resolve_seed(args)
+    seed = secrets.randbits(63) if args.seed is None else args.seed
     needs = {"sr": "scale", "denoise": "sigma", "car": "quality"}[args.task]
     if getattr(args, needs) is None:
         raise CliError(f"{args.task} degradation needs --{needs}", EXIT_USAGE)
     spec = _task_degradation(args.task, args.scale, args.sigma, args.quality, seed)
-    print(f"degradation: {spec.describe()}")
 
     def check(path, height, width, channels):
         try:
@@ -261,7 +256,12 @@ def cmd_degrade(args) -> int:
         except ValueError as exc:       # an image too small for the scale
             raise CliError(f"{path}: {exc}", EXIT_DATA)
 
-    for i, (path, dest) in enumerate(_inputs_and_out(args, check)):
+    pairs = _inputs_and_out(args, check)
+    # printed only once every check has passed: a refusal prints nothing
+    if args.seed is None:
+        print(f"seed {seed}")
+    print(f"degradation: {spec.describe()}")
+    for i, (path, dest) in enumerate(pairs):
         img = _read(load_image, path)
         save_image(degrade_image(img, spec.for_item(seed, i)), dest)
     return EXIT_OK
@@ -271,11 +271,20 @@ def cmd_train(args) -> int:
     values = parse_config_file(args.config)
     if args.seed is not None:
         values["seed"] = args.seed
-    elif "seed" not in values:
-        values["seed"] = _resolve_seed(args)
+    drawn = "seed" not in values
+    if drawn:
+        values["seed"] = secrets.randbits(63)
     if args.iterations is not None:
         values["iterations"] = args.iterations
     model_cfg, train_cfg = build_configs(values)
+    if model_cfg.out_channels != model_cfg.in_channels:
+        raise CliError(f"invalid configuration: out_channels = {model_cfg.out_channels} "
+                       f"with in_channels = {model_cfg.in_channels}; training targets "
+                       f"are the --data images, so they must match", EXIT_USAGE)
+    if args.resume:     # refused before anything is read or written; train reads it again
+        if load_train_state(args.resume)[0].config != model_cfg:
+            raise CliError(f"{args.resume} holds a model whose config differs "
+                           f"from the one given", EXIT_USAGE)
     _check_out(args.out, directory=True)
     strength = {**CONFIG_KEYS["degradation"], **values}
     spec = _task_degradation(model_cfg.task, model_cfg.scale, strength["sigma"],
@@ -299,6 +308,8 @@ def cmd_train(args) -> int:
                            f"inside the psnr border of {border}", EXIT_DATA)
     dataset = PairDataset(hq_images=[img for _, img in hq], spec=spec)
     val_pairs = make_validation_pairs([img for _, img in val], spec)
+    if drawn:
+        print(f"seed {train_cfg.seed}")
     result = train(model_cfg, train_cfg, dataset, val_pairs, out_dir=args.out,
                    resume=args.resume, log=print)
     if result.diverged:

@@ -341,7 +341,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
         last_loss = loss.item()
         if not math.isfinite(last_loss):
             result.diverged = True
-            emit(f"step {step} loss nan ABORT")
+            emit(f"step {step + 1} loss nan ABORT")
             return result
         params.zero_grad()
         loss.backward()
@@ -350,7 +350,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
             adam_step(params, state, lr)
         except TrainingDiverged as exc:
             result.diverged = True
-            emit(f"step {step} {exc} ABORT")
+            emit(f"step {step + 1} {exc} ABORT")
             return result
         result.losses.append(last_loss)
         if (step + 1) % train_cfg.val_period == 0 or step + 1 == train_cfg.iterations:

@@ -1,12 +1,16 @@
+import argparse
 import ast
-import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
+import time
 import zlib
+from collections import namedtuple
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +25,7 @@ from swinir.degrade import procedural_texture
 from swinir.imageio import ImageBuffer, load_image, save_image
 from swinir.model import SwinIRConfig, init_params, param_count, tiny_config
 from swinir.tensor import Tensor
-from swinir.train import TrainConfig
+from swinir.train import TrainConfig, TrainState
 
 
 def write_images(directory, n=3, size=24, seed=0, channels=1):
@@ -36,13 +40,24 @@ def write_images(directory, n=3, size=24, seed=0, channels=1):
 
 
 def write_config(path, **overrides):
+    """A denoise toy config; an override of None leaves its key out."""
     base = dict(task="denoise", scale=1, in_channels=1, out_channels=1,
                 channels=8, rstb_count=1, stl_per_rstb=1, window=4, heads=2,
                 iterations=4, batch_size=2, patch_size=8, val_period=2,
                 lr=1e-3, seed=7)
     base.update(overrides)
-    path.write_text("# test config\n" +
-                    "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n")
+    path.write_text("# test config\n" + "".join(
+        f"{k} = {v}\n" for k, v in base.items() if v is not None))
+    return path
+
+
+def save_model(path="m.ckpt", cfg=None, fill=None, state=False):
+    """Save a model of ``cfg`` (tiny_config) at ``path``, the parameter
+    ``fill[0]`` set to ``fill[1]``, with fresh resume state if ``state``."""
+    params = init_params(cfg or tiny_config(), seed=0)
+    if fill:
+        dict(params.named())[fill[0]].data.fill(fill[1])
+    save_checkpoint(params, str(path), TrainState.fresh(params, 0) if state else None)
     return path
 
 
@@ -55,59 +70,6 @@ class TestParsing:
                 main(argv)
             assert exc.value.code == 0
         capsys.readouterr()
-
-    def test_unknown_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["degrade", "--task", "denoise", "--sigma", "5",
-                  "--in", "x", "--out", "y", "--frobnicate"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-
-    def test_config_file_errors_name_key_and_line(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("channels = 8\nwibble = 3\n")
-        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "wibble" in err and ":2" in err
-
-    def test_config_file_bad_value(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("channels = eight\n")
-        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
-        assert rc == 2
-        assert "channels" in capsys.readouterr().err
-
-    def test_mlp_ratio_checkpoints_cannot_hold_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.cfg", channels=60, heads=6, mlp_ratio=1.4415)
-        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
-        assert rc == 2
-        assert "mlp_ratio" in capsys.readouterr().err
-
-    def test_window_zero_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.cfg", window=0)
-        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
-        assert rc == 2
-        assert "window" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
-    @pytest.mark.parametrize("overrides", [
-        dict(mlp_ratio=0), dict(channels=1, heads=1, mlp_ratio=0.5),
-        dict(stl_per_rstb=0, window=0)])
-    def test_config_that_cannot_run_usage_error(self, tmp_path, command, overrides,
-                                                capsys):
-        # each of these validated, then failed in the first forward with
-        # exit 2 and a message that named no key
-        cfg = write_config(tmp_path / "c.cfg", **overrides)
-        write_images(tmp_path / "data", n=1)
-        out = tmp_path / "run"
-        argv = [command, "--config", str(cfg)]
-        if command == "train":
-            argv += ["--data", str(tmp_path / "data"), "--out", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"invalid configuration: {list(overrides)[-1]} " in err
-        assert not out.exists()
 
     def test_help_lists_exactly_the_accepted_keys(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -125,24 +87,6 @@ class TestParsing:
         assert [type(v) for v in values.values()] == [type(v) for v in defaults.values()]
         assert cli.build_configs(values) == (SwinIRConfig(), TrainConfig())
 
-    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "weight_decay",
-                                     "lr_factor", "milestones"])
-    def test_fixed_optimizer_settings_are_unknown_keys(self, tmp_path, key, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"channels = 8\n{key} = 0.5\n")
-        rc = main(["train", "--config", str(cfg), "--data", "d", "--out", "o"])
-        assert rc == 2
-        assert f"unknown key {key!r}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [["infer", "--in", "x", "--out", "y"],
-                                         ["eval", "--lq-dir", "x", "--hq-dir", "y"],
-                                         ["inspect"]])
-    def test_deterministic_commands_reject_seed(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command[0], "--ckpt", "m.ckpt", *command[1:], "--seed", "1"])
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
-
     def test_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", mlp_ratio=1.4, head_style="direct")
         values = parse_config_file(str(cfg))
@@ -150,8 +94,7 @@ class TestParsing:
         assert values["mlp_ratio"] == 1.4
         assert values["head_style"] == "direct"
 
-
-    def test_degradation_strength_reaches_dataset(self, tmp_path, monkeypatch, capsys):
+    def test_degradation_strength_reaches_dataset(self, tmp_path, monkeypatch):
         write_images(tmp_path / "data", n=1)
         seen = {}
 
@@ -163,59 +106,11 @@ class TestParsing:
         for overrides, field, value in ((dict(sigma=50), "sigma", 50.0),
                                         (dict(task="car", quality=10), "quality", 10)):
             cfg = write_config(tmp_path / "c.cfg", **overrides)
-            rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                       "--out", str(tmp_path / "run")])
-            assert rc == 0
+            assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "run")]) == 0
             assert getattr(seen["spec"], field) == value
 
-    @pytest.mark.parametrize("overrides", [dict(sigma=-1),
-                                           dict(task="car", quality=0),
-                                           dict(task="car", quality=4.5)])
-    def test_bad_degradation_strength_usage_error(self, tmp_path, overrides, capsys):
-        write_images(tmp_path / "data", n=1)
-        cfg = write_config(tmp_path / "c.cfg", **overrides)
-        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                   "--out", str(tmp_path / "run")])
-        assert rc == 2
-        assert ("sigma" if "sigma" in overrides else "quality") in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key,value", [("lr", "nan"), ("lr", "inf"),
-                                           ("sigma", "-inf"), ("mlp_ratio", "nan")])
-    def test_non_finite_config_value_usage_error(self, tmp_path, key, value, capsys):
-        cfg = write_config(tmp_path / "c.cfg", **{key: value})
-        write_images(tmp_path / "data", n=1)
-        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                   "--out", str(tmp_path / "run"), "--iterations", "1"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"bad value for {key}" in err and "finite" in err
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
-    @pytest.mark.parametrize("overrides", [
-        dict(mlp_ratio="1e308"),
-        dict(head_channels=3000000000),
-        dict(rstb_count=0, stl_per_rstb=3000000000),
-        dict(channels=2, mlp_ratio=2200000)])
-    def test_value_a_checkpoint_cannot_store_usage_error(self, tmp_path, command,
-                                                         overrides, capsys):
-        # the config block is int32; each of these trained until the first
-        # save, or failed in validate, with a traceback and exit 1. The
-        # last key set is the one out of range
-        cfg = write_config(tmp_path / "c.cfg", **overrides)
-        write_images(tmp_path / "data", n=1)
-        out = tmp_path / "run"
-        argv = [command, "--config", str(cfg)]
-        if command == "train":
-            argv += ["--data", str(tmp_path / "data"), "--out", str(out),
-                     "--iterations", "0"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert f"{list(overrides)[-1]} " in err and "checkpoint" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
     def test_train_config_refuses_non_finite_lr(self, lr):
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(lr=lr)
@@ -226,282 +121,89 @@ class TestDegrade:
         [src] = write_images(tmp_path / "in", n=1, seed=4)
         outs = []
         for name in ("a.pgm", "b.pgm"):
-            rc = main(["degrade", "--task", "denoise", "--sigma", "25",
-                       "--seed", "7", "--in", str(src),
-                       "--out", str(tmp_path / name)])
-            assert rc == 0
+            assert main(["degrade", "--task", "denoise", "--sigma", "25",
+                         "--seed", "7", "--in", str(src),
+                         "--out", str(tmp_path / name)]) == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
         assert "gaussian_noise" in capsys.readouterr().out
 
-    def test_negative_sigma_usage_error(self, tmp_path, capsys):
-        [src] = write_images(tmp_path / "in", n=1)
-        rc = main(["degrade", "--task", "denoise", "--sigma", "-1",
-                   "--seed", "1", "--in", str(src), "--out", str(tmp_path / "o.pgm")])
-        assert rc == 2
-        capsys.readouterr()
-
-    def test_non_finite_sigma_usage_error(self, tmp_path, capsys):
-        [src] = write_images(tmp_path / "in", n=1)
-        rc = main(["degrade", "--task", "denoise", "--sigma", "nan",
-                   "--seed", "1", "--in", str(src), "--out", str(tmp_path / "o.pgm")])
-        assert rc == 2
-        assert "sigma must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "o.pgm").exists()
-
-    def test_sr_scale_halves_size(self, tmp_path, capsys):
+    def test_sr_scale_halves_size(self, tmp_path):
         img = ImageBuffer(np.zeros((64, 64, 1), dtype=np.float32))
         src = tmp_path / "big.pgm"
         save_image(img, str(src))
-        rc = main(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
-                   "--in", str(src), "--out", str(tmp_path / "small.pgm")])
-        assert rc == 0
+        assert main(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
+                     "--in", str(src), "--out", str(tmp_path / "small.pgm")]) == 0
         out = load_image(str(tmp_path / "small.pgm"))
         assert (out.height, out.width) == (32, 32)
-        capsys.readouterr()
-
-    def test_image_below_scale_is_data_error(self, tmp_path, capsys):
-        src = tmp_path / "dot.pgm"
-        save_image(ImageBuffer(np.zeros((1, 1), dtype=np.float32)), str(src))
-        rc = main(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
-                   "--in", str(src), "--out", str(tmp_path / "o.pgm")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert str(src) in err and "smaller than the downscale factor" in err
-        assert not (tmp_path / "o.pgm").exists()
-
-    def test_later_image_below_scale_writes_nothing(self, tmp_path, capsys):
-        write_images(tmp_path / "in", n=2, size=8)
-        save_image(ImageBuffer(np.zeros((1, 1), dtype=np.float32)),
-                   str(tmp_path / "in" / "z.pgm"))
-        rc = main(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
-                   "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "z.pgm" in err and "smaller than the downscale factor" in err
-        assert not (tmp_path / "out").exists()
-
-    def test_missing_input_is_data_error(self, tmp_path, capsys):
-        rc = main(["degrade", "--task", "car", "--quality", "10", "--seed", "1",
-                   "--in", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.pgm")])
-        assert rc == 3
-        capsys.readouterr()
 
     def test_seed_omitted_prints_choice(self, tmp_path, capsys):
+        # the printed seed comes first and reproduces the run
         [src] = write_images(tmp_path / "in", n=1)
-        rc = main(["degrade", "--task", "denoise", "--sigma", "10",
-                   "--in", str(src), "--out", str(tmp_path / "o.pgm")])
-        assert rc == 0
-        assert "seed " in capsys.readouterr().out
+        argv = ["degrade", "--task", "denoise", "--sigma", "10", "--in", str(src)]
+        assert main(argv + ["--out", str(tmp_path / "a.pgm")]) == 0
+        seed = re.match(r"seed (\d+)\n", capsys.readouterr().out)[1]
+        assert main(argv + ["--out", str(tmp_path / "b.pgm"), "--seed", seed]) == 0
+        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
 class TestTrainCommand:
-    def test_smoke_run_writes_metrics(self, tmp_path, capsys):
+    def test_smoke_run_writes_metrics(self, tmp_path):
         write_images(tmp_path / "data", n=3, size=24, seed=1)
         write_images(tmp_path / "val", n=1, size=24, seed=50)
         cfg = write_config(tmp_path / "c.cfg", iterations=4)
-        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                   "--val", str(tmp_path / "val"), "--out", str(tmp_path / "run")])
-        assert rc == 0
-        log = (tmp_path / "run" / "metrics.log").read_text()
-        assert log.strip()
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                     "--val", str(tmp_path / "val"), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "metrics.log").read_text().strip()
         assert (tmp_path / "run" / "last.ckpt").exists()
-        capsys.readouterr()
 
-    def test_zero_iterations_initial_checkpoint(self, tmp_path, capsys):
+    def test_zero_iterations_initial_checkpoint(self, tmp_path):
         write_images(tmp_path / "data", n=2)
         cfg = write_config(tmp_path / "c.cfg")
-        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                   "--out", str(tmp_path / "run"), "--iterations", "0"])
-        assert rc == 0
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "run"), "--iterations", "0"]) == 0
         assert (tmp_path / "run" / "last.ckpt").exists()
-        capsys.readouterr()
 
-    def test_zero_val_period_usage_error(self, tmp_path, capsys):
-        write_images(tmp_path / "data", n=1)
-        cfg = write_config(tmp_path / "c.cfg", val_period=0)
-        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                   "--out", str(tmp_path / "run")])
-        assert rc == 2
-        assert "val_period" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_fixed_seed_byte_reproducible(self, tmp_path, capsys):
+    def test_fixed_seed_byte_reproducible(self, tmp_path):
         write_images(tmp_path / "data", n=2)
         cfg = write_config(tmp_path / "c.cfg", iterations=3, val_period=3)
         blobs = []
         for run in ("r1", "r2"):
-            rc = main(["train", "--config", str(cfg), "--data",
-                       str(tmp_path / "data"), "--out", str(tmp_path / run),
-                       "--seed", "11"])
-            assert rc == 0
+            assert main(["train", "--config", str(cfg), "--data",
+                         str(tmp_path / "data"), "--out", str(tmp_path / run),
+                         "--seed", "11"]) == 0
             blobs.append((tmp_path / run / "last.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
-        capsys.readouterr()
 
 
 class TestTrainImageChecks:
-    """Training images the model cannot take are data errors (exit 3) that
-    name the file, before step 0 and before anything is written."""
-
-    def run(self, tmp_path, **overrides):
-        cfg = write_config(tmp_path / "c.cfg", **overrides)
-        return main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                     "--val", str(tmp_path / "val"), "--out", str(tmp_path / "run")])
-
-    def test_val_image_of_wrong_channel_count(self, tmp_path, capsys):
-        write_images(tmp_path / "data", n=2)
-        write_images(tmp_path / "val", n=1, channels=3)
-        assert self.run(tmp_path) == 3
-        assert "img0.ppm" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_data_image_of_wrong_channel_count(self, tmp_path, capsys):
-        write_images(tmp_path / "data", n=2)
-        write_images(tmp_path / "data", n=1, channels=3)
-        write_images(tmp_path / "val", n=1)
-        assert self.run(tmp_path) == 3
-        assert "img0.ppm" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_data_image_smaller_than_patch(self, tmp_path, capsys):
-        # sr x2 with 8-pixel patches takes 16x16 crops of the HQ image
-        write_images(tmp_path / "data", n=2, size=24)
-        small = procedural_texture(9, 12, 12)
-        save_image(small, str(tmp_path / "data" / "small.pgm"))
-        write_images(tmp_path / "val", n=1)
-        assert self.run(tmp_path, task="sr", scale=2, patch_size=8) == 3
-        err = capsys.readouterr().err
-        assert "small.pgm" in err and "12x12" in err
-        assert not (tmp_path / "run").exists()
-
-
-    def test_val_side_not_a_multiple_of_scale(self, tmp_path, capsys):
+    def test_val_side_not_a_multiple_of_scale(self, tmp_path):
         # validation trims 25x25 to 24x24, the side the x2 model restores
         write_images(tmp_path / "data", n=2, size=24)
         write_images(tmp_path / "val", n=1, size=25)
-        assert self.run(tmp_path, task="sr", scale=2, patch_size=8,
-                        iterations=2, val_period=1) == 0
+        cfg = write_config(tmp_path / "c.cfg", task="sr", scale=2, iterations=2,
+                           val_period=1)
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                     "--val", str(tmp_path / "val"), "--out", str(tmp_path / "run")]) == 0
         log = (tmp_path / "run" / "metrics.log").read_text().splitlines()
         assert [line.split()[:2] for line in log] == [["step", "1"], ["step", "2"]]
-        capsys.readouterr()
-
-    def test_val_image_inside_psnr_border(self, tmp_path, capsys):
-        # 5x9 trims to 4x8 at x2; a border of 2 leaves no row to score
-        write_images(tmp_path / "data", n=2, size=24)
-        (tmp_path / "val").mkdir()
-        save_image(procedural_texture(9, 5, 9), str(tmp_path / "val" / "thin.pgm"))
-        assert self.run(tmp_path, task="sr", scale=2, patch_size=8) == 3
-        err = capsys.readouterr().err
-        assert "thin.pgm" in err and "5x9" in err
-        assert not (tmp_path / "run").exists()
 
 
 class TestTrainResume:
-    def train(self, tmp_path, out, *extra, **overrides):
+    def test_resume_from_last_ckpt(self, tmp_path):
         write_images(tmp_path / "data", n=2)
-        cfg = write_config(tmp_path / "c.cfg", iterations=4, **overrides)
-        return main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
-                     "--out", str(tmp_path / out), *extra])
-
-    def test_resume_from_last_ckpt(self, tmp_path, capsys):
-        assert self.train(tmp_path, "run", "--iterations", "2") == 0
-        assert self.train(tmp_path, "more", "--resume",
-                          str(tmp_path / "run" / "last.ckpt")) == 0
+        cfg = write_config(tmp_path / "c.cfg", iterations=4)
+        argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data")]
+        assert main(argv + ["--out", str(tmp_path / "run"), "--iterations", "2"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "more"), "--resume",
+                            str(tmp_path / "run" / "last.ckpt")]) == 0
         # the resumed run starts at step 2, so it validates only at step 4
         assert (tmp_path / "more" / "metrics.log").read_text().startswith("step 4 ")
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("content", [None, b"not a checkpoint\n", "params"])
-    def test_unusable_resume_file_is_data_error(self, tmp_path, capsys, content):
-        path = tmp_path / "state.ckpt"
-        if content == "params":
-            save_checkpoint(init_params(tiny_config(), seed=0), str(path))
-        elif content is not None:
-            path.write_bytes(content)
-        capsys.readouterr()
-        assert self.train(tmp_path, "run", "--resume", str(path)) == 3
-        assert str(path) in capsys.readouterr().err
-
-    def test_resume_state_of_another_config_is_usage_error(self, tmp_path, capsys):
-        assert self.train(tmp_path, "sr", "--iterations", "0", task="sr",
-                          scale=2) == 0
-        capsys.readouterr()
-        rc = self.train(tmp_path, "denoise", "--resume",
-                        str(tmp_path / "sr" / "last.ckpt"))
-        assert rc == 2
-        assert "config" in capsys.readouterr().err
-        assert not (tmp_path / "denoise" / "last.ckpt").exists()
-
-
-class TestUnreadableImages:
-    """Images and manifests that cannot be read are data errors (exit 3)
-    naming the file, in every command that reads them."""
-
-    def test_manifest_naming_missing_image(self, tmp_path, capsys):
-        manifest = tmp_path / "list.txt"
-        manifest.write_text("missing.pgm\n")
-        cfg = write_config(tmp_path / "c.cfg")
-        rc = main(["train", "--config", str(cfg), "--data", str(manifest),
-                   "--out", str(tmp_path / "run")])
-        assert rc == 3
-        assert "missing.pgm" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--data", "--val"])
-    def test_manifest_naming_no_image(self, tmp_path, flag, capsys):
-        # an empty --data manifest exited 2 naming no file, and an empty
-        # --val manifest trained, logged psnr nan and exited 0
-        write_images(tmp_path / "images", n=2)
-        manifest = tmp_path / "list.txt"
-        manifest.write_text("# nothing listed\n\n")
-        sources = {"--data": str(tmp_path / "images"), "--val": str(tmp_path / "images")}
-        sources[flag] = str(manifest)
-        cfg = write_config(tmp_path / "c.cfg")
-        rc = main(["train", "--config", str(cfg), "--data", sources["--data"],
-                   "--val", sources["--val"], "--out", str(tmp_path / "run")])
-        assert rc == 3
-        assert "list.txt" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_manifest_not_utf8(self, tmp_path, capsys):
-        manifest = tmp_path / "list.txt"
-        manifest.write_bytes(b"\xff\xfe img.pgm\n")
-        cfg = write_config(tmp_path / "c.cfg")
-        rc = main(["train", "--config", str(cfg), "--data", str(manifest),
-                   "--out", str(tmp_path / "run")])
-        assert rc == 3
-        assert "list.txt" in capsys.readouterr().err
-
-    def test_directory_named_like_an_image(self, tmp_path, capsys):
-        # image_paths lists it by name; opening it is an OSError
-        ckpt, _ = make_ckpt(tmp_path)
-        write_images(tmp_path / "in", n=1, size=16)
-        (tmp_path / "in" / "sub.pgm").mkdir()
-        commands = (
-            ["degrade", "--task", "car", "--quality", "10", "--seed", "1",
-             "--in", str(tmp_path / "in"), "--out", str(tmp_path / "o1")],
-            ["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "in"),
-             "--out", str(tmp_path / "o2")],
-            ["eval", "--lq-dir", str(tmp_path / "in"), "--hq-dir", str(tmp_path / "in")],
-            ["train", "--config", str(write_config(tmp_path / "c.cfg")),
-             "--data", str(tmp_path / "in"), "--out", str(tmp_path / "run")],
-        )
-        for argv in commands:
-            capsys.readouterr()
-            assert main(argv) == 3, argv[0]
-            assert "sub.pgm" in capsys.readouterr().err, argv[0]
-
-
-def make_ckpt(tmp_path, cfg=None, seed=0):
-    params = init_params(cfg or tiny_config(), seed=seed)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, str(path))
-    return path, params
 
 
 class TestInferEval:
-    def test_infer_deterministic(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
+    def test_infer_deterministic(self, tmp_path):
+        ckpt = save_model(tmp_path / "m.ckpt")
         [src] = write_images(tmp_path / "in", n=1, size=16)
         outs = []
         for name in ("o1.pgm", "o2.pgm"):
@@ -510,244 +212,53 @@ class TestInferEval:
             assert rc == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
-        capsys.readouterr()
-
-    def test_channel_mismatch_is_data_error(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        [src] = write_images(tmp_path / "in", n=1, size=16, channels=3)
-        rc = main(["infer", "--ckpt", str(ckpt), "--in", str(src),
-                   "--out", str(tmp_path / "o.pgm")])
-        assert rc == 3
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("bad", ["channels", "trailing bytes", "truncated"])
-    def test_later_bad_image_writes_nothing(self, tmp_path, bad, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        write_images(tmp_path / "in", n=2, size=16)
-        if bad == "channels":
-            [last] = write_images(tmp_path / "in", n=1, size=16, channels=3)
-        else:
-            last = tmp_path / "in" / "z.pgm"
-            blob = (tmp_path / "in" / "img0.pgm").read_bytes()
-            last.write_bytes(blob + bytes(40) if bad == "trailing bytes" else blob[:-1])
-        rc = main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "in"),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 3
-        assert last.name in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_corrupted_checkpoint_exit_3(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        blob = bytearray(ckpt.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        ckpt.write_bytes(bytes(blob))
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        rc = main(["infer", "--ckpt", str(ckpt), "--in", str(src),
-                   "--out", str(tmp_path / "o.pgm")])
-        assert rc == 3
-        assert "checksum" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("patch", [dict(mlp_ratio=0),
-                                       dict(stl_per_rstb=0, window=0)])
-    def test_checkpoint_of_a_config_that_cannot_run_exit_3(self, tmp_path, patch,
-                                                           capsys):
-        # CRC-valid files whose records match their config: each loaded,
-        # then failed in the first forward with exit 2
-        params = init_params(tiny_config(), seed=0)
-        block = params.rstbs[0]
-        if "window" in patch:
-            block.stls = []
-        else:
-            mlp = block.stls[0].mlp
-            mlp.fc1_w, mlp.fc1_b, mlp.fc2_w = (Tensor(np.zeros(shape, np.float32))
-                                               for shape in ((8, 0), (0,), (0, 8)))
-        body = bytearray(serialize(params)[:-4])
-        names = [f.name for f in fields(SwinIRConfig)]
-        for key, value in patch.items():
-            struct.pack_into("<i", body, 8 + 4 * names.index(key), value)
-        ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        rc = main(["infer", "--ckpt", str(ckpt), "--in", str(src),
-                   "--out", str(tmp_path / "o.pgm")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert f"{ckpt}: invalid config block: {list(patch)[-1]} " in err
-        assert not (tmp_path / "o.pgm").exists()
 
     def test_eval_hq_against_itself(self, tmp_path, capsys):
         write_images(tmp_path / "hq", n=2, size=24)
-        rc = main(["eval", "--lq-dir", str(tmp_path / "hq"),
-                   "--hq-dir", str(tmp_path / "hq"), "--border", "1"])
-        assert rc == 0
+        assert main(["eval", "--lq-dir", str(tmp_path / "hq"),
+                     "--hq-dir", str(tmp_path / "hq"), "--border", "1"]) == 0
         out = capsys.readouterr().out
         assert "inf" in out
         assert "1.0000" in out
 
     def test_eval_pairs_by_name(self, tmp_path, capsys):
+        # an lq name without an hq partner is a refusal row
         write_images(tmp_path / "hq", n=2, size=24)
         (tmp_path / "lq").mkdir()
-        # a.pgm has no partner; by sorted position it would meet img0.pgm
-        (tmp_path / "lq" / "img1.pgm").write_bytes((tmp_path / "hq" / "img1.pgm").read_bytes())
-        (tmp_path / "lq" / "a.pgm").write_bytes((tmp_path / "hq" / "img0.pgm").read_bytes())
-        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 3
-        assert "a.pgm" in capsys.readouterr().err
-
-        (tmp_path / "lq" / "a.pgm").rename(tmp_path / "lq" / "img0.pgm")
-        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 0
+        for name in ("img0.pgm", "img1.pgm"):
+            (tmp_path / "lq" / name).write_bytes((tmp_path / "hq" / name).read_bytes())
+        assert main(["eval", "--lq-dir", str(tmp_path / "lq"),
+                     "--hq-dir", str(tmp_path / "hq")]) == 0
         assert capsys.readouterr().out.count("inf") == 3
 
-    def test_eval_size_mismatch_is_data_error(self, tmp_path, capsys):
-        write_images(tmp_path / "lq", n=1, size=16)
-        write_images(tmp_path / "hq", n=1, size=24)
-        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 3
-        assert "img0.pgm" in capsys.readouterr().err
-
-    def test_eval_image_below_ssim_window_is_data_error(self, tmp_path, capsys):
-        write_images(tmp_path / "hq", n=1, size=5)
-        rc = main(["eval", "--lq-dir", str(tmp_path / "hq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 3
-        assert "img0.pgm" in capsys.readouterr().err
-
-    def test_eval_negative_border_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        write_images(tmp_path / "hq", n=1, size=24)
-
-        def refuse(path):
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(cli, "load_image", refuse)
-        rc = main(["eval", "--lq-dir", str(tmp_path / "hq"),
-                   "--hq-dir", str(tmp_path / "hq"), "--border", "-1"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "--border must be >= 0" in captured.err
-        assert captured.out == ""
-
-    def test_eval_channel_mismatch_is_data_error(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        write_images(tmp_path / "hq", n=1, size=16, channels=3)
-        rc = main(["eval", "--ckpt", str(ckpt), "--lq-dir", str(tmp_path / "hq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 3
-        assert "img0.ppm" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["img0.pgm", "img2.pgm"])
-    def test_eval_failure_prints_no_table(self, tmp_path, bad, capsys):
-        # a truncated first or last LQ image: exit 3 naming it, and no
-        # header or rows for the pairs read before it
-        write_images(tmp_path / "hq", n=3, size=24)
-        write_images(tmp_path / "lq", n=3, size=24)
-        blob = (tmp_path / "lq" / bad).read_bytes()
-        (tmp_path / "lq" / bad).write_bytes(blob[:-1])
-        rc = main(["eval", "--lq-dir", str(tmp_path / "lq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 3
-        captured = capsys.readouterr()
-        assert bad in captured.err
-        assert captured.out == ""
-
     def test_eval_with_checkpoint_runs(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
+        ckpt = save_model(tmp_path / "m.ckpt")
         write_images(tmp_path / "lq", n=2, size=16, seed=3)
         write_images(tmp_path / "hq", n=2, size=16, seed=3)
-        rc = main(["eval", "--ckpt", str(ckpt), "--lq-dir", str(tmp_path / "lq"),
-                   "--hq-dir", str(tmp_path / "hq")])
-        assert rc == 0
+        assert main(["eval", "--ckpt", str(ckpt), "--lq-dir", str(tmp_path / "lq"),
+                     "--hq-dir", str(tmp_path / "hq")]) == 0
         out = capsys.readouterr().out
         assert "mean" in out
 
 
 class TestGradcheckInspect:
     def test_gradcheck_exit_zero(self, capsys):
-        rc = main(["gradcheck", "--tolerance", "1e-4"])
-        assert rc == 0
+        assert main(["gradcheck", "--tolerance", "1e-4"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
         # the default model's second layer is shifted, so the masked
         # attention backward is checked too
         assert "rstb.0.stl.1.attn.bias_table" in out
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
-    def test_gradcheck_bad_tolerance_usage_error(self, tolerance, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("a model was built")
-
-        monkeypatch.setattr(train_mod, "init_params", refuse)
-        rc = main(["gradcheck", "--tolerance", tolerance])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "tolerance" in captured.err and captured.out == ""
-
     def test_inspect_total_matches_param_count(self, tmp_path, capsys):
         cfg = tiny_config(task="sr", scale=2, channels=16, heads=2)
-        ckpt, _ = make_ckpt(tmp_path, cfg)
-        rc = main(["inspect", "--ckpt", str(ckpt)])
-        assert rc == 0
+        ckpt = save_model(tmp_path / "m.ckpt", cfg)
+        assert main(["inspect", "--ckpt", str(ckpt)]) == 0
         out = capsys.readouterr().out
         assert f"total parameters {param_count(cfg)}" in out
 
 
-class TestNonFiniteRestore:
-    """A forward that overflows exits 4, names the input and writes no
-    output for it; the [0, 1] clamp would otherwise turn inf into white
-    and NaN into black. The restore checks its output itself, so numpy's
-    overflow warnings stay off and the error line is all of stderr. Each
-    call runs in a fresh interpreter, whose default warning settings print
-    any warning to that stderr (the test settings make them errors)."""
-
-    @pytest.mark.parametrize("command", ["infer", "eval"])
-    def test_exit_4_and_no_output(self, tmp_path, command):
-        params = init_params(tiny_config(task="denoise"), seed=0)
-        dict(params.named())["shallow.w"].data[...] = 3e38
-        ckpt = tmp_path / "model.ckpt"
-        save_checkpoint(params, str(ckpt))
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        out = tmp_path / "out.pgm"
-        argv = (["infer", "--in", str(src), "--out", str(out)] if command == "infer"
-                else ["eval", "--lq-dir", str(tmp_path / "in"),
-                      "--hq-dir", str(tmp_path / "in")])
-        done = subprocess.run([sys.executable, "-m", "swinir.cli", *argv,
-                               "--ckpt", str(ckpt)],
-                              env=package_env(), capture_output=True, text=True,
-                              timeout=60)
-        assert done.returncode == 4, done.stderr
-        assert done.stderr == f"error: {src}: the restored image holds NaN or Inf\n"
-        assert not out.exists()
-        assert "mean" not in done.stdout
-
-
 class TestMemoryPreflight:
-    """A config whose run cannot fit in physical memory exits 2 before
-    anything is allocated. Without the check, channels = 8000000 ended in
-    a MemoryError traceback and the other two ran for minutes; each case
-    runs in its own interpreter, under a timeout, so a hang fails it."""
-
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
-    @pytest.mark.parametrize("key, value", [("channels", 8000000),
-                                            ("rstb_count", 100000000),
-                                            ("batch_size", 100000000)])
-    def test_refused_before_any_work(self, tmp_path, command, key, value):
-        write_images(tmp_path / "data", n=2)
-        cfg = write_config(tmp_path / "c.cfg", **{key: value})
-        out = tmp_path / "run"
-        argv = [command, "--config", str(cfg)]
-        if command == "train":
-            argv += ["--data", str(tmp_path / "data"), "--out", str(out)]
-        done = subprocess.run([sys.executable, "-m", "swinir.cli", *argv],
-                              env=package_env(), capture_output=True, text=True,
-                              timeout=30)
-        assert done.returncode == 2, done.stderr
-        assert "Traceback" not in done.stderr
-        assert f"reduce {key} = {value}" in done.stderr
-        assert done.stdout == "" and not out.exists()
-
     def test_skipped_where_memory_size_is_unknown(self, monkeypatch):
         def unknown(name):
             raise ValueError(f"unrecognized configuration name {name!r}")
@@ -757,83 +268,369 @@ class TestMemoryPreflight:
         assert model_cfg.channels == 8000000
 
 
-class TestUnwritableOut:
-    """An --out that cannot be written is a data error naming it, found
-    before any image is restored or degraded and before training starts."""
+# -- refusals: one table, one contract ---------------------------------------
+#
+# Each row runs one command line (``argv``, split as a shell would) in a
+# fresh work directory (``work_dir``, then ``setup``) and must end with its
+# exit code and one ``error:`` line on stderr that names each of ``names``,
+# with no traceback, nothing on stdout, nothing new or changed in the
+# directory, no work started (``WORK`` and ``stub`` fail if called) and
+# within a time bound; a ``fresh`` row runs in a new interpreter under a
+# timeout. A row carried over from an earlier test runs under that test's
+# name ("Class::test" or "Class::test[id]"), one named by a bare id as
+# TestRefusals::test_refusal[id].
 
-    @pytest.fixture(autouse=True)
-    def no_work(self, monkeypatch):
+Row = namedtuple("Row", "test argv code names setup fresh stub")
+
+
+def R(test, argv, code, *names, setup=(), fresh=False, stub=()):
+    test = test if "::" in test else f"TestRefusals::test_refusal[{test}]"
+    setup = setup if isinstance(setup, tuple) else (setup,)
+    return Row(test, argv, code, names, setup, fresh, stub)
+
+
+# what a refused command must not reach: a restore, a degradation,
+# training, or a model built for gradcheck
+WORK = ((cli, "restore_image"), (cli, "degrade_image"), (cli, "train"),
+        (train_mod, "init_params"))
+ROW_SECONDS, FRESH_SECONDS = 10, 60
+
+
+def work_dir(monkeypatch):
+    """Fill the current directory: m.ckpt (a tiny_config model), v.pgm
+    (16x16), in/ (two 16x16 images), data/ (two 24x24), c.cfg
+    (``write_config``) and locked/, which ``os.access`` reports unwritable
+    (root passes every permission check, so a read-only mode cannot)."""
+    save_model()
+    save_image(procedural_texture(9, 16, 16), "v.pgm")
+    write_images(Path("in"), n=2, size=16)
+    write_images(Path("data"), n=2, size=24)
+    write_config(Path("c.cfg"))
+    os.mkdir("locked")
+    real, denied = os.access, os.path.abspath("locked")
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+        (os.path.abspath(path) != denied or not mode & os.W_OK)
+        and real(path, mode, **kwargs)))
+
+
+def put(path, blob=None):
+    """Write ``blob`` (bytes, or a function of the old bytes of ``path``)
+    to ``path``, or make ``path`` a directory if it is None."""
+    def setup():
+        if blob is None:
+            os.makedirs(path)
+        else:
+            Path(path).write_bytes(blob(Path(path).read_bytes()) if callable(blob) else blob)
+    return setup
+
+
+def config(**overrides):
+    return lambda: write_config(Path("c.cfg"), **overrides)
+
+
+def images(directory, n=1, size=24, channels=1):
+    return lambda: write_images(Path(directory), n=n, size=size, channels=channels)
+
+
+def model(path="m.ckpt", **kwargs):
+    return lambda: save_model(path, **kwargs)
+
+
+def config_block(**patch):
+    """m.ckpt, CRC-valid, with ``patch`` in its config block and the
+    records of a tiny model of ``patch``: a model that cannot run."""
+    def blob(_):
+        params = init_params(tiny_config(), seed=0)
+        if "window" in patch:
+            params.rstbs[0].stls = []
+        else:
+            mlp = params.rstbs[0].stls[0].mlp
+            mlp.fc1_w, mlp.fc1_b, mlp.fc2_w = (Tensor(np.zeros(shape, np.float32))
+                                               for shape in ((8, 0), (0,), (0, 8)))
+        body = bytearray(serialize(params)[:-4])
+        keys = [f.name for f in fields(SwinIRConfig)]
+        for key, value in patch.items():
+            struct.pack_into("<i", body, 8 + 4 * keys.index(key), value)
+        return bytes(body) + struct.pack("<I", zlib.crc32(body))
+    return put("m.ckpt", blob)
+
+
+def flip(blob):
+    return bytes(x ^ (i == len(blob) // 2) for i, x in enumerate(blob))
+
+
+TRAIN = "train --config c.cfg --data data --out run"
+TRAIN_VAL = "train --config c.cfg --data data --val val --out run"
+RESUME = TRAIN + " --resume state.ckpt"
+LISTED = TRAIN.replace("--data data", "--data list.txt")
+INFER = "infer --ckpt m.ckpt --in v.pgm --out o.pgm"
+DEGRADE = "degrade --task sr --scale 2 --seed 1 --out o.pgm --in"
+BY_COMMAND = {"train": TRAIN, "gradcheck": "gradcheck --config c.cfg"}
+NOT_UTF8 = put("c.cfg", b"\xffchannels = 8\n")
+# the classes of the tests whose rows these are
+P, D, E, U = "TestParsing::", "TestDegrade::", "TestInferEval::", "TestUnwritableOut::"
+IMG, RES = "TestUnreadableImages::", "TestTrainResume::test_unusable_resume_file_is_data_error"
+DIM, NF = "TestTrainImageChecks::", "TestNonFiniteRestore::test_exit_4_and_no_output"
+
+REFUSALS = [
+    # -- config files and flags
+    R(P + "test_unknown_flag_is_usage_error",
+      "degrade --task denoise --sigma 5 --in x --out y --frobnicate", 2, "--frobnicate"),
+    R(P + "test_config_file_errors_name_key_and_line", TRAIN, 2, "c.cfg:2", "wibble",
+      setup=put("c.cfg", b"channels = 8\nwibble = 3\n")),
+    R(P + "test_config_file_bad_value", TRAIN, 2, "c.cfg:1", "channels",
+      setup=put("c.cfg", b"channels = eight\n")),
+    R(P + "test_mlp_ratio_checkpoints_cannot_hold_usage_error", TRAIN, 2, "mlp_ratio",
+      setup=config(channels=60, heads=6, mlp_ratio=1.4415)),
+    R(P + "test_window_zero_usage_error", TRAIN, 2, "window", setup=config(window=0)),
+    *(R(P + f"test_config_that_cannot_run_usage_error[overrides{i}-{command}]", argv, 2,
+        f"invalid configuration: {list(o)[-1]} ", setup=config(**o))
+      for i, o in enumerate([dict(mlp_ratio=0), dict(channels=1, heads=1, mlp_ratio=0.5),
+                             dict(stl_per_rstb=0, window=0)])
+      for command, argv in BY_COMMAND.items()),
+    *(R(P + f"test_fixed_optimizer_settings_are_unknown_keys[{key}]", TRAIN, 2,
+        f"unknown key {key!r}", setup=put("c.cfg", f"channels = 8\n{key} = 0.5\n".encode()))
+      for key in ("beta1", "beta2", "eps", "weight_decay", "lr_factor", "milestones")),
+    *(R(P + f"test_deterministic_commands_reject_seed[command{i}]", f"{argv} --seed 1", 2,
+        "--seed") for i, argv in enumerate(("infer --ckpt m.ckpt --in x --out y",
+                                            "eval --ckpt m.ckpt --lq-dir x --hq-dir y",
+                                            "inspect --ckpt m.ckpt"))),
+    *(R(P + f"test_bad_degradation_strength_usage_error[overrides{i}]", TRAIN, 2, key,
+        setup=config(**o))
+      for i, (key, o) in enumerate([("sigma", dict(sigma=-1)),
+                                    ("quality", dict(task="car", quality=0)),
+                                    ("quality", dict(task="car", quality=4.5))])),
+    *(R(P + f"test_non_finite_config_value_usage_error[{key}-{value}]",
+        TRAIN + " --iterations 1", 2, f"bad value for {key}", "finite",
+        setup=config(**{key: value}))
+      for key, value in (("lr", "nan"), ("lr", "inf"), ("sigma", "-inf"),
+                         ("mlp_ratio", "nan"))),
+    *(R(P + f"test_value_a_checkpoint_cannot_store_usage_error[overrides{i}-{command}]",
+        argv + " --iterations 0" * (command == "train"), 2, f"{list(o)[-1]} ", "checkpoint",
+        setup=config(**o))
+      for i, o in enumerate([dict(mlp_ratio="1e308"), dict(head_channels=3000000000),
+                             dict(rstb_count=0, stl_per_rstb=3000000000),
+                             dict(channels=2, mlp_ratio=2200000)])
+      for command, argv in BY_COMMAND.items()),
+    R("TestTrainCommand::test_zero_val_period_usage_error", TRAIN, 2, "val_period",
+      setup=config(val_period=0)),
+    R("train config not UTF-8", TRAIN, 3, "cannot read config c.cfg", setup=NOT_UTF8),
+    R("train sr out_channels", TRAIN, 2, "out_channels = 3", "in_channels = 1",
+      setup=config(task="sr", scale=2, out_channels=3)),
+    R("train seed drawn, heads", TRAIN, 2, "2 heads do not divide 9 channels",
+      setup=config(seed=None, channels=9)),
+    R("train seed drawn, resume", RESUME, 3, "state.ckpt", "parameters only",
+      setup=(config(seed=None), model("state.ckpt"))),
+    *(R(f"TestGradcheckInspect::test_gradcheck_bad_tolerance_usage_error[{t}]",
+        f"gradcheck --tolerance {t}", 2, "tolerance") for t in ("nan", "inf", "-1", "0")),
+    R("gradcheck config not UTF-8", "gradcheck --config c.cfg", 3, "cannot read config c.cfg",
+      setup=NOT_UTF8),
+    R("gradcheck config missing", "gradcheck --config no.cfg", 3, "cannot read config no.cfg"),
+    # the pre-flight runs in a fresh interpreter: a run it let through
+    # would allocate for minutes or end in a MemoryError
+    *(R(f"TestMemoryPreflight::test_refused_before_any_work[{key}-{value}-{command}]", argv,
+        2, f"reduce {key} = {value}", setup=config(**{key: value}), fresh=True)
+      for key, value in (("channels", 8000000), ("rstb_count", 100000000),
+                         ("batch_size", 100000000)) for command, argv in BY_COMMAND.items()),
+    # -- degrade
+    R(D + "test_negative_sigma_usage_error",
+      "degrade --task denoise --sigma -1 --seed 1 --in v.pgm --out o.pgm", 2, "sigma"),
+    R(D + "test_non_finite_sigma_usage_error",
+      "degrade --task denoise --sigma nan --seed 1 --in v.pgm --out o.pgm", 2,
+      "sigma must be finite"),
+    R(D + "test_image_below_scale_is_data_error", DEGRADE + " dot.pgm", 3, "dot.pgm",
+      "smaller than the downscale factor", setup=put("dot.pgm", b"P5 1 1 255\n\0")),
+    R(D + "test_later_image_below_scale_writes_nothing", DEGRADE + " in", 3, "in/z.pgm",
+      "smaller than the downscale factor", setup=put("in/z.pgm", b"P5 1 1 255\n\0")),
+    R(D + "test_missing_input_is_data_error",
+      "degrade --task car --quality 10 --seed 1 --in no.pgm --out o.pgm", 3, "no.pgm"),
+    R("degrade seed drawn, missing input",
+      "degrade --task denoise --sigma 5 --in no.pgm --out o.pgm", 3, "no.pgm"),
+    R("degrade maxval", DEGRADE + " b.pgm", 3, "b.pgm", "maxval 65535",
+      setup=put("b.pgm", b"P5\n2 2\n65535\n" + bytes(8))),
+    R("degrade directory named like an image", DEGRADE + " in", 3, "in/sub.pgm",
+      setup=put("in/sub.pgm")),
+    R("degrade out ending in /", DEGRADE + " v.pgm --out no/", 3, "cannot write no/"),
+    R(U + "test_degrade_into_missing_directory", DEGRADE + " v.pgm --out no/d/x.pgm", 3,
+      "cannot write no/d/x.pgm"),
+    # -- train: images, manifests, resume files and --out
+    R(DIM + "test_val_image_of_wrong_channel_count", TRAIN_VAL, 3, "val/img0.ppm",
+      setup=images("val", channels=3)),
+    R(DIM + "test_data_image_of_wrong_channel_count", TRAIN_VAL, 3, "data/img0.ppm",
+      setup=(images("data", channels=3), images("val"))),
+    R(DIM + "test_data_image_smaller_than_patch", TRAIN_VAL, 3, "data/small.pgm", "12x12",
+      setup=(config(task="sr", scale=2), put("data/small.pgm", b"P5 12 12 255\n" + bytes(144)),
+             images("val"))),
+    R(DIM + "test_val_image_inside_psnr_border", TRAIN_VAL, 3, "val/thin.pgm", "5x9",
+      setup=(config(task="sr", scale=2), put("val"),
+             put("val/thin.pgm", b"P5 9 5 255\n" + bytes(45)))),
+    R("train over-long header number", TRAIN, 3, "data/long.pgm", "5000 digits",
+      setup=put("data/long.pgm", b"P5\n" + b"9" * 5000 + b" 1\n255\n\0")),
+    R(IMG + "test_manifest_naming_missing_image", LISTED, 3,
+      "missing.pgm", setup=put("list.txt", b"missing.pgm\n")),
+    *(R(IMG + f"test_manifest_naming_no_image[{flag}]", argv, 3, "list.txt",
+        setup=put("list.txt", b"# nothing listed\n\n"))
+      for flag, argv in (("--data", TRAIN_VAL.replace("--data data", "--data list.txt")),
+                         ("--val", TRAIN_VAL.replace("--val val", "--val list.txt")))),
+    R(IMG + "test_manifest_not_utf8", LISTED, 3, "list.txt",
+      setup=put("list.txt", b"\xff\xfe img.pgm\n")),
+    R(IMG + "test_directory_named_like_an_image", TRAIN.replace("--data data", "--data in"), 3,
+      "in/sub.pgm", setup=put("in/sub.pgm")),
+    R(RES + "[None]", RESUME, 3, "state.ckpt"),
+    R(RES + "[not a checkpoint\n]", RESUME, 3, "state.ckpt", "bad magic",
+      setup=put("state.ckpt", b"not a checkpoint\n")),
+    R(RES + "[params]", RESUME, 3, "state.ckpt", "parameters only", setup=model("state.ckpt")),
+    R("TestTrainResume::test_resume_state_of_another_config_is_usage_error", RESUME, 2,
+      "state.ckpt", "config differs",
+      setup=model("state.ckpt", cfg=tiny_config(task="sr", scale=2), state=True)),
+    R(U + "test_train_under_a_file", TRAIN.replace("run", "f/sub"), 3, "cannot write f/sub",
+      setup=put("f", b"not a directory\n")),
+    R("train out empty", TRAIN.replace("run", "''"), 3, "cannot write ''"),
+    R(U + "test_train_under_unwritable_directory", TRAIN.replace("run", "locked/run"), 3,
+      "cannot write locked/run"),
+    # -- infer
+    R(E + "test_channel_mismatch_is_data_error", INFER.replace("v.pgm", "rgb/img0.ppm"), 3,
+      "rgb/img0.ppm", setup=images("rgb", channels=3)),
+    *(R(E + f"test_later_bad_image_writes_nothing[{i}]", "infer --ckpt m.ckpt --in in --out o",
+        3, name, setup=setup)
+      for i, name, setup in (
+          ("channels", "in/img0.ppm", images("in", size=16, channels=3)),
+          ("trailing bytes", "in/img1.pgm: 40 bytes after",
+           put("in/img1.pgm", lambda b: b + bytes(40))),
+          ("truncated", "in/img1.pgm: truncated payload",
+           put("in/img1.pgm", lambda b: b[:-1])))),
+    R(E + "test_corrupted_checkpoint_exit_3", INFER, 3, "m.ckpt", "checksum",
+      setup=put("m.ckpt", flip)),
+    *(R(E + f"test_checkpoint_of_a_config_that_cannot_run_exit_3[patch{i}]", INFER, 3,
+        f"m.ckpt: invalid config block: {list(patch)[-1]} ", setup=config_block(**patch))
+      for i, patch in enumerate([dict(mlp_ratio=0), dict(stl_per_rstb=0, window=0)])),
+    R("infer bad magic", INFER.replace("v.pgm", "b.pgm"), 3, "b.pgm", "unsupported magic",
+      setup=put("b.pgm", b"P2\n2 2\n255\n0 0 0 0\n")),
+    R("infer missing checkpoint", INFER.replace("m.ckpt", "no.ckpt"), 3, "no.ckpt"),
+    R("infer directory named like an image", "infer --ckpt m.ckpt --in in --out o", 3,
+      "in/sub.pgm", setup=put("in/sub.pgm")),
+    R("infer out ending in /", INFER.replace("o.pgm", "no/"), 3, "cannot write no/"),
+    R("infer out empty", INFER.replace("o.pgm", "''"), 3, "cannot write ''"),
+    R(U + "test_infer_into_missing_directory", INFER.replace("o.pgm", "no/d/x.pgm"), 3,
+      "cannot write no/d/x.pgm"),
+    R(U + "test_infer_directory_onto_a_file", "infer --ckpt m.ckpt --in in --out f", 3,
+      "cannot write f", setup=put("f", b"not a directory\n")),
+    R(U + "test_single_image_onto_a_directory", INFER.replace("o.pgm", "in"), 3,
+      "cannot write in"),
+    R(U + "test_infer_into_unwritable_directory", INFER.replace("o.pgm", "locked/x.pgm"), 3,
+      "cannot write locked/x.pgm"),
+    # a forward that overflows: the [0, 1] clamp would turn inf into white
+    # and NaN into black. The restore checks its output itself, so numpy's
+    # warnings stay off; a fresh interpreter would print any to stderr
+    R(NF + "[infer]", INFER, 4, "error: v.pgm: the restored image holds NaN or Inf\n",
+      setup=model(fill=("shallow.w", 3e38)), fresh=True),
+    # -- eval
+    R(NF + "[eval]", "eval --ckpt m.ckpt --lq-dir in --hq-dir in", 4,
+      "error: in/img0.pgm: the restored image holds NaN or Inf\n",
+      setup=model(fill=("shallow.w", 3e38)), fresh=True),
+    R("eval unmatched name", "eval --lq-dir lq --hq-dir data", 3, "a.pgm in --lq-dir",
+      setup=(images("lq", n=2), put("lq/a.pgm", b""))),
+    R(E + "test_eval_size_mismatch_is_data_error", "eval --lq-dir in --hq-dir data", 3,
+      "in/img0.pgm"),
+    R(E + "test_eval_image_below_ssim_window_is_data_error", "eval --lq-dir hq --hq-dir hq",
+      3, "hq/img0.pgm", setup=images("hq", size=5)),
+    R(E + "test_eval_negative_border_is_usage_error",
+      "eval --lq-dir in --hq-dir in --border -1", 2, "--border must be >= 0",
+      stub=("load_image",)),
+    R(E + "test_eval_channel_mismatch_is_data_error",
+      "eval --ckpt m.ckpt --lq-dir hq --hq-dir hq", 3, "hq/img0.ppm",
+      setup=images("hq", size=16, channels=3)),
+    *(R(E + f"test_eval_failure_prints_no_table[{bad}]", "eval --lq-dir lq --hq-dir hq", 3,
+        f"lq/{bad}", setup=(images("lq", n=3), images("hq", n=3),
+                            put(f"lq/{bad}", lambda b: b[:-1])))
+      for bad in ("img0.pgm", "img2.pgm")),
+    R("eval non-digit header", "eval --lq-dir in --hq-dir in", 3, "in/b.pgm",
+      "not a decimal number", setup=put("in/b.pgm", b"P5\n+2 2\n255\n" + bytes(4))),
+    R("eval directory named like an image", "eval --lq-dir in --hq-dir in", 3, "in/sub.pgm",
+      setup=put("in/sub.pgm")),
+    # -- inspect
+    R("inspect bad magic", "inspect --ckpt b.ckpt", 3, "b.ckpt", "bad magic",
+      setup=put("b.ckpt", b"not a checkpoint file at all\n")),
+    R("inspect crc", "inspect --ckpt m.ckpt", 3, "m.ckpt", "checksum",
+      setup=put("m.ckpt", flip)),
+    R("inspect truncated", "inspect --ckpt m.ckpt", 3, "m.ckpt",
+      setup=put("m.ckpt", lambda b: b[:-9])),
+    R("inspect non-finite", "inspect --ckpt m.ckpt", 3, "m.ckpt", "non-finite values",
+      setup=model(fill=("shallow.b", np.nan))),
+    R("inspect missing", "inspect --ckpt no.ckpt", 3, "no.ckpt"),
+]
+
+
+def check_refusal(row, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    work_dir(monkeypatch)
+    for setup in row.setup:
+        setup()
+    before = snapshot(tmp_path)
+    start = time.perf_counter()
+    if row.fresh:
+        done = subprocess.run([sys.executable, "-m", "swinir.cli", *shlex.split(row.argv)],
+                              env=package_env(), capture_output=True, text=True,
+                              timeout=FRESH_SECONDS)
+        code, out, err = done.returncode, done.stdout, done.stderr
+    else:
         def refuse(*args, **kwargs):
-            raise AssertionError("work started before --out was checked")
+            raise AssertionError("work started before the refusal")
 
-        for name in ("restore_image", "degrade_image", "train"):
-            monkeypatch.setattr(cli, name, refuse)
+        for module, name in WORK + tuple((cli, name) for name in row.stub):
+            monkeypatch.setattr(module, name, refuse)
+        try:
+            code = main(shlex.split(row.argv))
+        except SystemExit as exc:       # argparse
+            code = exc.code
+        out, err = capsys.readouterr()
+    assert time.perf_counter() - start < (FRESH_SECONDS if row.fresh else ROW_SECONDS)
+    assert code == row.code, err
+    assert "Traceback" not in err
+    *usage, line = err.splitlines()     # argparse prints its usage first
+    assert line.startswith("error: ") if not usage else ": error: " in line, err
+    assert all(name in line + "\n" for name in row.names), err     # "...\n" ends the line
+    assert not usage or (usage[0].startswith("usage: ")
+                         and all(u.startswith(" ") for u in usage[1:])), err
+    assert out == ""
+    assert snapshot(tmp_path) == before
 
-    def run(self, argv, out, capsys):
-        rc = main(argv + ["--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 3
-        assert f"cannot write {out}" in err
 
-    def test_infer_into_missing_directory(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)],
-                 tmp_path / "missing" / "dir" / "x.pgm", capsys)
+def snapshot(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
-    def test_degrade_into_missing_directory(self, tmp_path, capsys):
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        self.run(["degrade", "--task", "sr", "--scale", "2", "--seed", "1",
-                  "--in", str(src)], tmp_path / "missing" / "d" / "x.pgm", capsys)
 
-    def test_train_under_a_file(self, tmp_path, capsys):
-        write_images(tmp_path / "data", n=2)
-        cfg = write_config(tmp_path / "c.cfg")
-        (tmp_path / "afile").write_text("not a directory\n")
-        self.run(["train", "--config", str(cfg), "--data", str(tmp_path / "data")],
-                 tmp_path / "afile" / "sub", capsys)
+class TestRefusals:
+    def test_every_subcommand_has_a_row(self):
+        [commands] = [action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        assert {row.argv.split()[0] for row in REFUSALS} == set(commands)
 
-    def test_infer_directory_onto_a_file(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        write_images(tmp_path / "in", n=2, size=16)
-        (tmp_path / "afile").write_text("not a directory\n")
-        self.run(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "in")],
-                 tmp_path / "afile", capsys)
 
-    def test_single_image_onto_a_directory(self, tmp_path, capsys):
-        ckpt, _ = make_ckpt(tmp_path)
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)], tmp_path, capsys)
+def _refusal_test(rows):
+    """The test of ``rows``, {parameter id: row}: plain if the one id is ""."""
+    if list(rows) == [""]:
+        def test(self, tmp_path, monkeypatch, capsys):
+            check_refusal(rows[""], tmp_path, monkeypatch, capsys)
+        return test
 
-    @staticmethod
-    def deny_writes(monkeypatch, directory):
-        """``os.access`` refuses writes to ``directory``: root passes every
-        permission check, so a read-only directory cannot stand in."""
-        real = os.access
-        denied = os.path.abspath(directory)
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(self, row, tmp_path, monkeypatch, capsys):
+        check_refusal(row, tmp_path, monkeypatch, capsys)
+    return test
 
-        def access(path, mode, **kwargs):
-            if os.path.abspath(path) == denied and mode & os.W_OK:
-                return False
-            return real(path, mode, **kwargs)
 
-        monkeypatch.setattr(os, "access", access)
+def _install(rows):
+    """Set each row's test on its class, made here if no other test has it."""
+    by_test = {}
+    for row in rows:
+        name, _, param = row.test.partition("[")
+        group, param = by_test.setdefault(name, {}), param.removesuffix("]")
+        assert param not in group, f"two rows named {row.test}"
+        group[param] = row
+    for name, group in by_test.items():
+        cls, test = name.split("::")
+        setattr(globals().setdefault(cls, type(cls, (), {})), test, _refusal_test(group))
 
-    def test_infer_into_unwritable_directory(self, tmp_path, capsys, monkeypatch):
-        ckpt, _ = make_ckpt(tmp_path)
-        [src] = write_images(tmp_path / "in", n=1, size=16)
-        (tmp_path / "locked").mkdir()
-        self.deny_writes(monkeypatch, tmp_path / "locked")
-        out = tmp_path / "locked" / "x.pgm"
-        self.run(["infer", "--ckpt", str(ckpt), "--in", str(src)], out, capsys)
-        assert not out.exists()
 
-    def test_train_under_unwritable_directory(self, tmp_path, capsys, monkeypatch):
-        write_images(tmp_path / "data", n=2)
-        cfg = write_config(tmp_path / "c.cfg")
-        (tmp_path / "locked").mkdir()
-        self.deny_writes(monkeypatch, tmp_path / "locked")
-        out = tmp_path / "locked" / "run"
-        self.run(["train", "--config", str(cfg), "--data", str(tmp_path / "data")],
-                 out, capsys)
-        assert not out.exists()
+_install(REFUSALS)

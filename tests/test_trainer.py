@@ -430,8 +430,13 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod, "compute_loss", poisoned)
         result = train(cfg, tcfg, ds, [], out_dir=str(tmp_path))
         assert result.diverged
-        assert (tmp_path / "last.ckpt").exists()   # from the step-2 validation
-        assert any("ABORT" in line for line in result.metrics)
+        assert (tmp_path / "last.ckpt").exists()   # from the step-4 validation
+        assert result.metrics[-1] == "step 5 loss nan ABORT"
+        # the abort line counts steps done, as validation lines do, so a
+        # resume from last.ckpt drops it with the steps after the file's
+        monkeypatch.setattr(train_mod, "compute_loss", real_loss)
+        train(cfg, tcfg, ds, [], out_dir=str(tmp_path), resume=str(tmp_path / "last.ckpt"))
+        assert "ABORT" not in (tmp_path / "metrics.log").read_text()
 
 
     def test_non_finite_validation_aborts_and_keeps_checkpoint(self, tmp_path,
