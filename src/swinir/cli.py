@@ -281,10 +281,10 @@ def cmd_train(args) -> int:
         raise CliError(f"invalid configuration: out_channels = {model_cfg.out_channels} "
                        f"with in_channels = {model_cfg.in_channels}; training targets "
                        f"are the --data images, so they must match", EXIT_USAGE)
-    if args.resume:     # refused before anything is read or written; train reads it again
-        if load_train_state(args.resume)[0].config != model_cfg:
-            raise CliError(f"{args.resume} holds a model whose config differs "
-                           f"from the one given", EXIT_USAGE)
+    resume = load_train_state(args.resume) if args.resume else None
+    if resume and resume[0].config != model_cfg:    # before anything is written
+        raise CliError(f"{args.resume} holds a model whose config differs "
+                       f"from the one given", EXIT_USAGE)
     _check_out(args.out, directory=True)
     strength = {**CONFIG_KEYS["degradation"], **values}
     spec = _task_degradation(model_cfg.task, model_cfg.scale, strength["sigma"],
@@ -311,7 +311,7 @@ def cmd_train(args) -> int:
     if drawn:
         print(f"seed {train_cfg.seed}")
     result = train(model_cfg, train_cfg, dataset, val_pairs, out_dir=args.out,
-                   resume=args.resume, log=print)
+                   resume=resume, log=print)
     if result.diverged:
         raise CliError("training diverged; last good checkpoint retained", EXIT_NUMERIC)
     return EXIT_OK

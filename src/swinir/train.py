@@ -265,13 +265,14 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
           dataset: PairDataset,
           val_pairs: Sequence[Tuple[ImageBuffer, ImageBuffer]],
           out_dir: Optional[str] = None,
-          resume: Optional[str] = None,
+          resume: Optional[Tuple[ModelParams, TrainState]] = None,
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
     """Optimize a model on synthesized pairs.
 
-    Writes ``last.ckpt`` (with resume state, what ``resume`` takes) and
-    ``best.ckpt`` and appends to ``metrics.log`` under ``out_dir`` when
-    given; a resume first drops the log's lines after its step. On
+    Writes ``last.ckpt`` (with resume state) and ``best.ckpt`` and appends
+    to ``metrics.log`` under ``out_dir`` when given. ``resume`` is what
+    ``load_train_state`` reads from a ``last.ckpt`` of a model of
+    ``model_cfg``; a resume first drops the log's lines after its step. On
     divergence (a non-finite loss, gradient or validation restore) the most
     recent checkpoints are left in place and the result is flagged.
     """
@@ -279,10 +280,7 @@ def train(model_cfg: SwinIRConfig, train_cfg: TrainConfig,
     border = psnr_border(model_cfg)
 
     if resume:
-        params, state = load_train_state(resume)
-        if params.config != model_cfg:
-            raise ValueError(f"{resume} holds a model whose config differs "
-                             f"from the one given")
+        params, state = resume
     else:
         params = init_params(model_cfg, seed=derive(train_cfg.seed, 0x1817))
         state = TrainState.fresh(params, derive(train_cfg.seed, 0x5EED))

@@ -376,7 +376,7 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod, "save_train_state", real_save)
         assert load_train_state(str(tmp_path / "b" / "last.ckpt"))[1].step == 3
         res_b = train(cfg, tcfg, toy_dataset(4), [], out_dir=str(tmp_path / "b2"),
-                      resume=str(tmp_path / "b" / "last.ckpt"))
+                      resume=load_train_state(str(tmp_path / "b" / "last.ckpt")))
 
         assert res_b.losses == res_a.losses[3:]
         for (na, ta), (nb, tb) in zip(res_a.params.named(), res_b.params.named(),
@@ -409,7 +409,8 @@ class TestTrainLoop:
                                str(run), str(len(best_saves))], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 17, done.stderr
-        train(cfg, tcfg, ds, val, out_dir=str(run), resume=str(run / "last.ckpt"))
+        train(cfg, tcfg, ds, val, out_dir=str(run),
+              resume=load_train_state(str(run / "last.ckpt")))
         for name in ("best.ckpt", "last.ckpt", "metrics.log"):
             assert (run / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
 
@@ -435,7 +436,8 @@ class TestTrainLoop:
         # the abort line counts steps done, as validation lines do, so a
         # resume from last.ckpt drops it with the steps after the file's
         monkeypatch.setattr(train_mod, "compute_loss", real_loss)
-        train(cfg, tcfg, ds, [], out_dir=str(tmp_path), resume=str(tmp_path / "last.ckpt"))
+        train(cfg, tcfg, ds, [], out_dir=str(tmp_path),
+              resume=load_train_state(str(tmp_path / "last.ckpt")))
         assert "ABORT" not in (tmp_path / "metrics.log").read_text()
 
 
